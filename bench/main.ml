@@ -510,8 +510,13 @@ let run_deadlines () =
    breach is a real allocation regression in the simulator hot path.
    (3) Replay must not be slower than warm prepare+simulate.  (4) Suite-wide
    preparation from a populated Store (cold in-memory caches) must be
-   cycle-exact and beat cold preparation by the committed factor. *)
+   cycle-exact and beat cold preparation by the committed factor.  (5) A
+   cold Prep.prepare of GAUSSIAN must stay under a committed minor-heap
+   ceiling, so per-TB work cannot creep back into launch-time analysis. *)
 let sim_minor_words_budget = 1_000_000.0
+
+(* Measured 11,855,632 words (11,809,140 in release builds), plus 10%. *)
+let prep_minor_words_budget = 13_040_000.0
 
 (* The committed speedup of disk-warm preparation over cold: with every
    artifact served from the Store, the whole-suite prepare must run at
@@ -557,7 +562,11 @@ let run_perf_gate () =
     (Printf.sprintf "cold %.2f ms, warm %.2f ms (%.1fx)" (cold *. 1e3) (warm *. 1e3)
        (if warm > 0.0 then cold /. warm else infinity));
   let gaussian = List.assoc "GAUSSIAN" Suite.all () in
+  let w0 = Gc.minor_words () in
   let prep = Prep.prepare cfg gaussian in
+  let words = Gc.minor_words () -. w0 in
+  check "cold prep minor-heap budget" (words <= prep_minor_words_budget)
+    (Printf.sprintf "%.0f words, budget %.0f" words prep_minor_words_budget);
   ignore (Sys.opaque_identity (Sim.run cfg Mode.Producer_priority prep));
   let w0 = Gc.minor_words () in
   ignore (Sys.opaque_identity (Sim.run cfg Mode.Producer_priority prep));
@@ -778,7 +787,7 @@ let () =
     exit (Benchrun.compare_against ?cache_dir:!cache_dir ~threshold_pct:!threshold old_file)
   | None -> ());
   if !perf_gate then begin
-    print_endline "== performance gate (warm prep, sim allocation, replay, disk-warm) ==";
+    print_endline "== performance gate (warm prep, prep and sim allocation, replay, disk-warm) ==";
     run_perf_gate ();
     exit 0
   end;

@@ -165,8 +165,8 @@ let cache_dir_arg =
     & opt (some string) None
     & info [ "cache-dir" ] ~docv:"DIR" ~env
         ~doc:
-          "Persist the launch-time analysis artifacts (footprints, cost profiles, rw-sets, \
-           pair relations) under $(docv), keyed by structural kernel fingerprint, so later \
+          "Persist the launch-time analysis artifacts (footprints, rw-sets, pair relations) \
+           under $(docv), keyed by structural kernel fingerprint, so later \
            runs — including other processes — start disk-warm.  Stale or corrupt entries \
            read as misses and are rewritten; results are always cycle-identical to a cold \
            run.  An unusable directory exits 2.")
@@ -1359,7 +1359,7 @@ let prewarm_cmd =
   let doc =
     "Populate the persistent analysis cache for the whole benchmark suite: every Table II \
      application is prepared in both reorder classes against $(b,--cache-dir), writing every \
-     cacheable artifact (footprints, cost profiles, rw-sets, pair relations) through to disk \
+     cacheable artifact (footprints, rw-sets, pair relations) through to disk \
      so any later $(b,bmctl)/$(b,bench) invocation pointed at the same directory starts \
      disk-warm.  Prints the per-app disk-tier counters.  With $(b,--check-hit-rate) a second, \
      cold-in-memory pass re-prepares the suite and the aggregate disk hit rate must reach the \

@@ -70,7 +70,10 @@ let () =
   let spec = List.nth (Command.launches app) 1 in
   let launch = Command.footprint_launch spec in
   let dynamic_fp = Dynamic.footprints gather launch mem in
-  let producer_fp = prep.Prep.p_launches.(0).Prep.li_fp in
+  let producer_fp =
+    let li = prep.Prep.p_launches.(0) in
+    Footprint.of_result li.Prep.li_result (Command.footprint_launch li.Prep.li_spec)
+  in
   let relation = Bipartite.relate producer_fp dynamic_fp in
   Format.printf "runtime pair classification: %a@." Bipartite.pp_relation relation;
   (match relation with

@@ -2,33 +2,42 @@ open Bm_ptx.Types
 
 type t = string
 
+(* Register renaming dominates fingerprinting, so its tables are
+   string-specialized and pre-sized to the body. *)
+module H = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = String.hash
+end)
+
 (* Renaming environment: registers and labels get fresh canonical names in
    first-occurrence order.  Parameter names are NOT renamed — they are
    semantic (footprint args bind by parameter name), so two kernels that
    differ only in a param spelling must not collide. *)
 type env = {
-  regs : (string, string) Hashtbl.t;
-  labels : (string, string) Hashtbl.t;
+  regs : string H.t;
+  labels : string H.t;
   mutable next_reg : int;
   mutable next_label : int;
 }
 
 let reg_name env r =
-  match Hashtbl.find_opt env.regs r with
+  match H.find_opt env.regs r with
   | Some c -> c
   | None ->
     let c = "%v" ^ string_of_int env.next_reg in
     env.next_reg <- env.next_reg + 1;
-    Hashtbl.add env.regs r c;
+    H.add env.regs r c;
     c
 
 let label_name env l =
-  match Hashtbl.find_opt env.labels l with
+  match H.find_opt env.labels l with
   | Some c -> c
   | None ->
     let c = "L" ^ string_of_int env.next_label in
     env.next_label <- env.next_label + 1;
-    Hashtbl.add env.labels l c;
+    H.add env.labels l c;
     c
 
 let add_operand env buf = function
@@ -127,9 +136,9 @@ let add_instr env buf = function
 
 let of_kernel (k : kernel) : t =
   let env =
-    { regs = Hashtbl.create 64; labels = Hashtbl.create 8; next_reg = 0; next_label = 0 }
+    { regs = H.create (Array.length k.kbody); labels = H.create 8; next_reg = 0; next_label = 0 }
   in
-  let buf = Buffer.create 1024 in
+  let buf = Buffer.create (32 * Array.length k.kbody) in
   List.iter
     (fun p ->
       Buffer.add_string buf (if p.pptr then "ptr " else "val ");

@@ -19,6 +19,8 @@ exception Not_static of string
 
 let tb_count launch = dim3_count launch.grid
 
+let launch_hash (l : launch) = Hashtbl.hash_param 256 256 l
+
 let cta_of_tb launch tb =
   let gx = launch.grid.dx and gy = launch.grid.dy in
   { dx = tb mod gx; dy = tb / gx mod gy; dz = tb / (gx * gy) }
@@ -27,13 +29,33 @@ let axis_of d = function X -> d.dx | Y -> d.dy | Z -> d.dz
 
 (* Environment for evaluating one TB's accesses.  [tid_cap] clamps the
    x-thread range when a recognized bounds check proves threads beyond it
-   return immediately (tail thread blocks). *)
+   return immediately (tail thread blocks).  [ctrs] holds, by counter id,
+   every counter with its init and bound split for the launch (see
+   [residual] below). *)
 type env = {
   launch : launch;
   cta : dim3;
   result : Symeval.result;
   tid_cap : int option;
+  ctrs : (Symeval.counter * residual * residual) option array;
 }
+
+(* An expression split for one launch: every maximal subtree that reads
+   nothing of the thread block is evaluated once and kept as [Fixed] with
+   its outcome — an interval, or the exception its evaluation raised, to
+   re-raise at the same point of every TB's evaluation, so a zero-trip
+   [Exit] or a [Not_static] wins or loses against its neighbours exactly
+   as it would if every TB evaluated the whole expression.  What is left
+   reads the TB: [%ctaid], a per-TB capped [%tid.x], or a counter whose
+   range reads either. *)
+and residual =
+  | Fixed of (Sinterval.t, exn) result
+  | Cta of axis
+  | Tid_x
+  | Ctr of int
+  | Op of op * residual * residual
+
+and op = Add | Sub | Mul | Div | Rem | Shr | Min | Max
 
 let special_interval env = function
   | Tid X ->
@@ -45,43 +67,9 @@ let special_interval env = function
   | Ctaid a -> Sinterval.singleton (axis_of env.cta a)
   | Nctaid a -> Sinterval.singleton (axis_of env.launch.grid a)
 
-let rec eval env (e : Sym.t) : Sinterval.t =
-  match e with
-  | Sym.Const n -> Sinterval.singleton n
-  | Sym.Param p -> (
-    match List.assoc_opt p env.launch.args with
-    | Some v -> Sinterval.singleton v
-    | None -> raise (Not_static ("unbound parameter " ^ p)))
-  | Sym.Special s -> special_interval env s
-  | Sym.Counter cid -> counter_interval env cid
-  | Sym.Add (a, b) -> Sinterval.add (eval env a) (eval env b)
-  | Sym.Sub (a, b) -> Sinterval.sub (eval env a) (eval env b)
-  | Sym.Mul (a, b) -> Sinterval.mul (eval env a) (eval env b)
-  | Sym.Div (a, b) ->
-    let bi = eval env b in
-    if bi.Sinterval.stride = 0 && bi.Sinterval.lo <> 0 then
-      Sinterval.div_const (eval env a) bi.Sinterval.lo
-    else raise (Not_static "division by a non-constant")
-  | Sym.Rem (a, b) ->
-    let bi = eval env b in
-    if bi.Sinterval.stride = 0 && bi.Sinterval.lo <> 0 then
-      Sinterval.rem_const (eval env a) bi.Sinterval.lo
-    else raise (Not_static "remainder by a non-constant")
-  | Sym.Shr (a, b) ->
-    let bi = eval env b in
-    if bi.Sinterval.stride = 0 && bi.Sinterval.lo >= 0 then
-      Sinterval.shr (eval env a) bi.Sinterval.lo
-    else raise (Not_static "shift by a non-constant")
-  | Sym.Min (a, b) -> Sinterval.min_ (eval env a) (eval env b)
-  | Sym.Max (a, b) -> Sinterval.max_ (eval env a) (eval env b)
-  | Sym.Unknown r -> raise (Not_static r)
-
-(* The value set of a recognized loop counter for this TB.  Returns [None]
-   when the loop provably runs zero iterations. *)
-and counter_interval_opt env cid =
-  let c = Symeval.counter_of env.result cid in
-  let ii = eval env c.init in
-  let bi = eval env c.bound in
+(* The value set of a recognized loop counter, from its evaluated init
+   and bound.  [None] when the loop provably runs zero iterations. *)
+let counter_range (c : Symeval.counter) (ii : Sinterval.t) (bi : Sinterval.t) =
   let stride =
     let s = abs c.step in
     if ii.Sinterval.stride = 0 then s
@@ -114,21 +102,104 @@ and counter_interval_opt env cid =
   end
   else raise (Not_static "zero-step loop")
 
-and counter_interval env cid =
-  match counter_interval_opt env cid with
+let some_range = function
   | Some i -> i
   | None -> raise Exit  (* zero-trip loop: the access does not execute *)
 
-let access_interval env (a : Symeval.access) =
-  (* The access touches [abytes] bytes starting at each address. *)
-  match eval env a.aexpr with
-  | i ->
-    let widened =
-      if a.abytes <= 1 then i
-      else Sinterval.add i (Sinterval.make ~lo:0 ~hi:(a.abytes - 1) ~stride:1)
-    in
-    Some widened
-  | exception Exit -> None
+(* Evaluate a residual: once per launch on the parts [split] folds, then
+   once per TB on what remains.  Operands evaluate in the same order
+   either way, so the first exception raised is the same. *)
+let rec reval env = function
+  | Fixed (Ok i) -> i
+  | Fixed (Error e) -> raise e
+  | Cta a -> Sinterval.singleton (axis_of env.cta a)
+  | Tid_x -> special_interval env (Tid X)
+  | Ctr cid -> some_range (ctr_range env cid)
+  | Op (Add, a, b) -> Sinterval.add (reval env a) (reval env b)
+  | Op (Sub, a, b) -> Sinterval.sub (reval env a) (reval env b)
+  | Op (Mul, a, b) -> Sinterval.mul (reval env a) (reval env b)
+  | Op (Div, a, b) ->
+    let bi = reval env b in
+    if bi.Sinterval.stride = 0 && bi.Sinterval.lo <> 0 then
+      Sinterval.div_const (reval env a) bi.Sinterval.lo
+    else raise (Not_static "division by a non-constant")
+  | Op (Rem, a, b) ->
+    let bi = reval env b in
+    if bi.Sinterval.stride = 0 && bi.Sinterval.lo <> 0 then
+      Sinterval.rem_const (reval env a) bi.Sinterval.lo
+    else raise (Not_static "remainder by a non-constant")
+  | Op (Shr, a, b) ->
+    let bi = reval env b in
+    if bi.Sinterval.stride = 0 && bi.Sinterval.lo >= 0 then
+      Sinterval.shr (reval env a) bi.Sinterval.lo
+    else raise (Not_static "shift by a non-constant")
+  | Op (Min, a, b) -> Sinterval.min_ (reval env a) (reval env b)
+  | Op (Max, a, b) -> Sinterval.max_ (reval env a) (reval env b)
+
+and ctr_range env cid =
+  match env.ctrs.(cid) with
+  | Some (c, init, bound) ->
+    let ii = reval env init in
+    let bi = reval env bound in
+    counter_range c ii bi
+  | None -> assert false (* [launch_env] fills every counter, in id order *)
+
+(* The launch's view of which counters vary per TB.  [capped]: a
+   recognized global-index guard caps [%tid.x] per TB, so a counter that
+   reads [%tid.x] varies too; otherwise only [%ctaid] readers do. *)
+let varies ~capped (r : Symeval.result) cid =
+  match r.Symeval.counter_reads.(cid) with
+  | Symeval.Reads_ctaid -> true
+  | Symeval.Reads_tid_x -> capped
+  | Symeval.Reads_none -> false
+
+let outcome f = match f () with i -> Ok i | exception x -> Error x
+
+(* Split [e] for the launch of [env], bottom-up: a node none of whose
+   parts reads the TB is folded by evaluating it once with [env], whose
+   [cta] and [tid_cap] no folded node reads.  Counters read through
+   [env.ctrs], so every counter [e] mentions must be split already. *)
+let split env ~capped e =
+  let fold res = Fixed (outcome (fun () -> reval env res)) in
+  let rec go (e : Sym.t) =
+    match e with
+    | Sym.Const n -> Fixed (Ok (Sinterval.singleton n))
+    | Sym.Param p -> (
+      match List.assoc_opt p env.launch.args with
+      | Some v -> Fixed (Ok (Sinterval.singleton v))
+      | None -> Fixed (Error (Not_static ("unbound parameter " ^ p))))
+    | Sym.Special (Ctaid a) -> Cta a
+    | Sym.Special (Tid X) when capped -> Tid_x
+    | Sym.Special s -> Fixed (outcome (fun () -> special_interval env s))
+    | Sym.Counter cid -> if varies ~capped env.result cid then Ctr cid else fold (Ctr cid)
+    | Sym.Unknown reason -> Fixed (Error (Not_static reason))
+    | Sym.Add (a, b) -> node Add a b
+    | Sym.Sub (a, b) -> node Sub a b
+    | Sym.Mul (a, b) -> node Mul a b
+    | Sym.Div (a, b) -> node Div a b
+    | Sym.Rem (a, b) -> node Rem a b
+    | Sym.Shr (a, b) -> node Shr a b
+    | Sym.Min (a, b) -> node Min a b
+    | Sym.Max (a, b) -> node Max a b
+  and node op a b =
+    match (go a, go b) with
+    | (Fixed _ as x), (Fixed _ as y) -> fold (Op (op, x, y))
+    | x, y -> Op (op, x, y)
+  in
+  go e
+
+(* The evaluation environment of one launch under one view: every
+   counter's init and bound split once, for every TB to share.  A
+   counter's init and bound mention only enclosing loops' counters, which
+   come earlier in id order. *)
+let launch_env (r : Symeval.result) launch ~capped =
+  let ctrs = Array.make (Array.length r.Symeval.counter_reads) None in
+  let env = { launch; cta = { dx = 0; dy = 0; dz = 0 }; result = r; tid_cap = None; ctrs } in
+  List.iter
+    (fun (c : Symeval.counter) ->
+      ctrs.(c.cid) <- Some (c, split env ~capped c.init, split env ~capped c.bound))
+    r.Symeval.counters;
+  env
 
 (* The canonical bounds-checked quantity: ctaid.x * ntid.x + tid.x. *)
 let is_global_index_x (e : Sym.t) =
@@ -144,51 +215,94 @@ let is_global_index_x (e : Sym.t) =
     is_mul a b
   | _ -> false
 
-(* Thread cap for one TB implied by the kernel's recognized bounds checks:
-   threads with ctaid.x*ntid.x + tid.x >= n return before touching memory,
-   so tail TBs have a reduced effective thread range (and fully-guarded TBs
-   touch nothing). *)
-let tid_cap_of (r : Symeval.result) launch (cta : dim3) =
+(* Thread cap for one TB implied by the kernel's recognized bounds checks
+   (their bounds split by [genv], which never caps [%tid.x]): threads with
+   ctaid.x*ntid.x + tid.x >= n return before touching memory, so tail TBs
+   have a reduced effective thread range (and fully-guarded TBs touch
+   nothing). *)
+let tid_cap_of genv bounds launch (cta : dim3) =
+  let env = { genv with cta } in
   List.fold_left
-    (fun acc (g : Symeval.guard_constraint) ->
-      if not (is_global_index_x g.g_expr) then acc
-      else
-        let env = { launch; cta; result = r; tid_cap = None } in
-        match eval env g.g_bound with
-        | b when b.Sinterval.stride = 0 ->
-          let cap = b.Sinterval.lo - 1 - (cta.dx * launch.block.dx) in
-          Some (match acc with Some c -> min c cap | None -> cap)
-        | _ -> acc
-        | exception Not_static _ -> acc
-        | exception Exit -> acc)
-    None r.guards
+    (fun acc bound ->
+      match reval env bound with
+      | b when b.Sinterval.stride = 0 ->
+        let cap = b.Sinterval.lo - 1 - (cta.dx * launch.block.dx) in
+        Some (match acc with Some c -> min c cap | None -> cap)
+      | _ -> acc
+      | exception Not_static _ -> acc
+      | exception Exit -> acc)
+    None bounds
+
+(* An access touches [abytes] bytes from each address: [width] is
+   [0 .. abytes-1], or [None] for single bytes. *)
+let widen width i = match width with None -> i | Some w -> Sinterval.add i w
+
+(* An access prepared for a launch: either its interval (or skip, or
+   exception) for every TB at once, or its residual and width. *)
+type planned =
+  | Every of (Sinterval.t option, exn) result
+  | Per_tb_access of residual * Sinterval.t option
+
+let plan_access env ~capped (a : Symeval.access) =
+  let width =
+    if a.abytes <= 1 then None else Some (Sinterval.make ~lo:0 ~hi:(a.abytes - 1) ~stride:1)
+  in
+  match split env ~capped a.aexpr with
+  | Fixed (Ok i) -> Every (Ok (Some (widen width i)))
+  | Fixed (Error Exit) -> Every (Ok None)
+  | Fixed (Error e) -> Every (Error e)
+  | res -> Per_tb_access (res, width)
 
 let of_result (r : Symeval.result) launch =
   match r.nonstatic_reason with
   | Some reason -> Conservative reason
   | None -> (
     let n = tb_count launch in
+    let guard_bounds =
+      List.filter_map
+        (fun (g : Symeval.guard_constraint) ->
+          if is_global_index_x g.g_expr then Some g.g_bound else None)
+        r.guards
+    in
+    let capped = guard_bounds <> [] in
+    let env = launch_env r launch ~capped in
+    (* Guard bounds are evaluated uncapped, whatever the accesses see. *)
+    let genv = if capped then launch_env r launch ~capped:false else env in
+    let bounds = List.map (split genv ~capped:false) guard_bounds in
+    let accesses =
+      List.map (fun (a : Symeval.access) -> (a.akind, plan_access env ~capped a)) r.accesses
+    in
+    let empty = { freads = []; fwrites = [] } in
     try
       let per_tb =
         Array.init n (fun tb ->
             let cta = cta_of_tb launch tb in
-            let tid_cap = tid_cap_of r launch cta in
+            let tid_cap = if capped then tid_cap_of genv bounds launch cta else None in
             match tid_cap with
             | Some c when c < 0 ->
               (* Every thread of this TB fails the bounds check. *)
-              { freads = []; fwrites = [] }
+              empty
             | Some _ | None ->
-              let env = { launch; cta; result = r; tid_cap } in
+              let env = { env with cta; tid_cap } in
               let freads = ref [] and fwrites = ref [] in
               List.iter
-                (fun (a : Symeval.access) ->
-                  match access_interval env a with
+                (fun (kind, p) ->
+                  let interval =
+                    match p with
+                    | Every (Ok i) -> i
+                    | Every (Error e) -> raise e
+                    | Per_tb_access (res, width) -> (
+                      match reval env res with
+                      | i -> Some (widen width i)
+                      | exception Exit -> None)
+                  in
+                  match interval with
                   | None -> ()
                   | Some i -> (
-                    match a.akind with
+                    match kind with
                     | `Read -> freads := i :: !freads
                     | `Write -> fwrites := i :: !fwrites))
-                r.accesses;
+                accesses;
               { freads = List.rev !freads; fwrites = List.rev !fwrites })
       in
       Per_tb per_tb
@@ -225,36 +339,80 @@ let footprints_intersect a b =
   || any_intersect a.freads b.fwrites (* WAR *)
   || any_intersect a.fwrites b.fwrites (* WAW *)
 
-let trip_count env cid =
-  match counter_interval_opt env cid with
+(* One launch's per-thread dynamic instruction and global-memory
+   instruction counts, given the trip count of every counter: each
+   instruction weighs the product of its enclosing loops' trips. *)
+let counts (r : Symeval.result) trip =
+  let body = r.kernel.kbody in
+  let counters = Array.of_list r.counters in
+  let trips = Array.map (fun (c : Symeval.counter) -> trip c.cid) counters in
+  let total = ref 0.0 in
+  for i = 0 to Array.length body - 1 do
+    match body.(i) with
+    | Label _ -> ()
+    | I _ ->
+      let m = ref 1.0 in
+      for k = 0 to Array.length counters - 1 do
+        let c = counters.(k) in
+        if c.entry <= i && i <= c.last then m := !m *. trips.(k)
+      done;
+      total := !total +. !m
+  done;
+  let mem =
+    List.fold_left
+      (fun acc (a : Symeval.access) ->
+        acc +. List.fold_left (fun m cid -> m *. trip cid) 1.0 a.aloops)
+      0.0 r.accesses
+  in
+  (!total, mem)
+
+(* A counter's trip count.  A range that is not static assumes a modest
+   loop; a zero-trip enclosing loop ([Exit] from a counter the range
+   reads) means this loop never starts, so 0 is exact. *)
+let trip_of range =
+  match range () with
   | Some i -> float_of_int (Sinterval.count i)
   | None -> 0.0
-  | exception Not_static _ -> 8.0 (* unknown trip count: assume a modest loop *)
+  | exception Not_static _ -> 8.0
+  | exception Exit -> 0.0
 
-let per_tb_insts (r : Symeval.result) launch ~tb =
-  let env = { launch; cta = cta_of_tb launch tb; result = r; tid_cap = None } in
-  let trip cid = trip_count env cid in
-  let body = r.kernel.kbody in
-  let mult = Array.make (Array.length body) 1.0 in
-  List.iter
-    (fun (c : Symeval.counter) ->
-      let t = trip c.cid in
-      for i = c.entry to c.last do
-        mult.(i) <- mult.(i) *. t
-      done)
-    r.counters;
-  let total = ref 0.0 in
-  Array.iteri
-    (fun i instr -> match instr with Label _ -> () | I _ -> total := !total +. mult.(i))
-    body;
-  !total
+type dyn_counts =
+  | Uniform of { tbs : int; insts : float; mem : float }
+  | Varying of { insts : float array; mem : float array }
 
-let per_tb_mem_insts (r : Symeval.result) launch ~tb =
-  let env = { launch; cta = cta_of_tb launch tb; result = r; tid_cap = None } in
-  List.fold_left
-    (fun acc (a : Symeval.access) ->
-      let mult =
-        List.fold_left (fun m cid -> m *. trip_count env cid) 1.0 a.aloops
-      in
-      acc +. mult)
-    0.0 r.accesses
+let dynamic_counts (r : Symeval.result) launch =
+  let n = tb_count launch in
+  if n = 0 then Varying { insts = [||]; mem = [||] }
+  else begin
+    (* Threads are never capped here, so only [%ctaid] readers vary; the
+       other trip counts are evaluated once for the launch. *)
+    let env = launch_env r launch ~capped:false in
+    let fixed =
+      Array.of_list
+        (List.map
+           (fun (c : Symeval.counter) ->
+             if varies ~capped:false r c.cid then None
+             else Some (trip_of (fun () -> ctr_range env c.cid)))
+           r.counters)
+    in
+    if Array.for_all Option.is_some fixed then begin
+      let insts, mem = counts r (fun cid -> Option.get fixed.(cid)) in
+      Uniform { tbs = n; insts; mem }
+    end
+    else begin
+      let all_insts = Array.make n 0.0 and all_mem = Array.make n 0.0 in
+      for tb = 0 to n - 1 do
+        let env = { env with cta = cta_of_tb launch tb } in
+        let trips =
+          Array.mapi
+            (fun cid t ->
+              match t with Some t -> t | None -> trip_of (fun () -> ctr_range env cid))
+            fixed
+        in
+        let insts, mem = counts r (fun cid -> trips.(cid)) in
+        all_insts.(tb) <- insts;
+        all_mem.(tb) <- mem
+      done;
+      Varying { insts = all_insts; mem = all_mem }
+    end
+  end

@@ -30,11 +30,22 @@ type kernel_footprints =
           whole-kernel (fully-connected) dependency *)
 
 val of_result : Symeval.result -> launch -> kernel_footprints
+(** Every subexpression that reads nothing of the thread block (no
+    [%ctaid], no guard-capped [%tid.x], no counter whose range reads
+    either — {!Symeval.result.counter_reads}) is evaluated once for the
+    launch; only the rest is evaluated per TB.  The result equals
+    evaluating every access of every TB in full. *)
 
 val analyze : Bm_ptx.Types.kernel -> launch -> kernel_footprints
 (** [Symeval.analyze] followed by {!of_result}. *)
 
 val tb_count : launch -> int
+
+val launch_hash : launch -> int
+(** A hash over every field of the launch.  [Hashtbl.hash] stops after
+    ten meaningful values, fewer than a launch's geometry and arguments,
+    so relaunches differing only in a late scalar argument would share a
+    bucket; memo tables keyed on launches lead their keys with this. *)
 
 val overlaps : writes:t -> reads:t -> bool
 (** RAW test: does any write interval of the parent TB intersect any read
@@ -51,11 +62,18 @@ val footprints_intersect : t -> t -> bool
 val raw_intersect : writes:t -> reads:t -> bool
 (** Alias of {!overlaps} at whole-kernel granularity. *)
 
-val per_tb_insts : Symeval.result -> launch -> tb:int -> float
-(** Estimated dynamic instructions executed by one thread of the given TB
-    (loop trip counts resolved through the range analysis); the GPU cost
-    model turns this into TB execution time. *)
+(** Dynamic instructions and global-memory instructions of one thread,
+    per TB. *)
+type dyn_counts =
+  | Uniform of { tbs : int; insts : float; mem : float }
+      (** the same for each of the [tbs] TBs: no trip count reads [%ctaid] *)
+  | Varying of { insts : float array; mem : float array }  (** indexed by TB *)
 
-val per_tb_mem_insts : Symeval.result -> launch -> tb:int -> float
-(** Estimated dynamic global-memory instructions per thread of the given TB
-    (each access counted with its enclosing loops' trip counts). *)
+val dynamic_counts : Symeval.result -> launch -> dyn_counts
+(** Estimated dynamic instruction counts of one thread of every TB of the
+    launch, with loop trip counts resolved through the range analysis and
+    each access weighted by its enclosing loops' trips; the GPU cost model
+    turns these into TB execution time and memory traffic.  A trip count
+    that is not static counts as 8; one under a zero-trip enclosing loop
+    as 0.  Trip counts that read no [%ctaid] are evaluated once for the
+    whole launch; when none reads it the result is [Uniform]. *)

@@ -24,6 +24,8 @@ type guard_constraint = {
   g_bound : Sym.t;  (* executes only while g_expr < g_bound *)
 }
 
+type tb_reads = Reads_none | Reads_tid_x | Reads_ctaid
+
 type result = {
   kernel : Bm_ptx.Types.kernel;
   accesses : access list;
@@ -31,7 +33,41 @@ type result = {
   guards : guard_constraint list;
   static : bool;
   nonstatic_reason : string option;
+  counter_reads : tb_reads array;  (* by counter id *)
 }
+
+let join_reads a b =
+  match (a, b) with
+  | Reads_ctaid, _ | _, Reads_ctaid -> Reads_ctaid
+  | Reads_tid_x, _ | _, Reads_tid_x -> Reads_tid_x
+  | Reads_none, Reads_none -> Reads_none
+
+(* A counter id outside [counter_reads] (none is, for a result [analyze]
+   built) reads as [Reads_ctaid]: the conservative answer. *)
+let rec reads_of counter_reads (e : Sym.t) =
+  match e with
+  | Sym.Special (Ctaid _) -> Reads_ctaid
+  | Sym.Special (Tid X) -> Reads_tid_x
+  | Sym.Const _ | Sym.Param _ | Sym.Special _ | Sym.Unknown _ -> Reads_none
+  | Sym.Counter cid ->
+    if cid >= 0 && cid < Array.length counter_reads then counter_reads.(cid) else Reads_ctaid
+  | Sym.Add (a, b) | Sym.Sub (a, b) | Sym.Mul (a, b) | Sym.Div (a, b) | Sym.Rem (a, b)
+  | Sym.Shr (a, b) | Sym.Min (a, b) | Sym.Max (a, b) -> (
+    match reads_of counter_reads a with
+    | Reads_ctaid -> Reads_ctaid
+    | ra -> join_reads ra (reads_of counter_reads b))
+
+(* Counters come in id order, and a counter's init and bound can only
+   mention enclosing loops' counters, which have smaller ids: one pass in
+   id order sees every mentioned counter already classified. *)
+let classify_counters counters =
+  let reads = Array.make (List.length counters) Reads_ctaid in
+  List.iter
+    (fun c ->
+      if c.cid < Array.length reads then
+        reads.(c.cid) <- join_reads (reads_of reads c.init) (reads_of reads c.bound))
+    counters;
+  reads
 
 (* A recognized (or not) loop, located by instruction extent. *)
 type loop_desc = {
@@ -283,6 +319,7 @@ let analyze kernel =
     guards = List.rev !guards;
     static = nonstatic_reason = None;
     nonstatic_reason;
+    counter_reads = classify_counters counters;
   }
 
 let counter_of r cid = List.find (fun c -> c.cid = cid) r.counters

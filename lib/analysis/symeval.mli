@@ -30,6 +30,17 @@ type guard_constraint = {
   g_bound : Sym.t;  (** the kernel body executes only while [g_expr < g_bound] *)
 }
 
+(** What a counter's value range reads of the thread block it runs in.
+    Ordered: a counter that reads [%ctaid] varies from TB to TB wherever
+    it is evaluated; one that reads only [%tid.x] varies only where a
+    recognized global-index guard caps the thread range per TB (the
+    footprint analysis, not the cost model); the rest are fixed by the
+    launch configuration, so one evaluation per launch serves every TB. *)
+type tb_reads =
+  | Reads_none
+  | Reads_tid_x  (** [%tid.x], or a counter that reads it *)
+  | Reads_ctaid  (** [%ctaid], or a counter that reads it *)
+
 type result = {
   kernel : Bm_ptx.Types.kernel;
   accesses : access list;       (** in instruction order; atomics appear as both a read and a write *)
@@ -40,6 +51,9 @@ type result = {
           range of tail thread blocks *)
   static : bool;                (** every access expression is static *)
   nonstatic_reason : string option;
+  counter_reads : tb_reads array;
+      (** indexed by counter id: what the counter's [init] and [bound]
+          read, directly or through the counters they mention *)
 }
 
 val analyze : Bm_ptx.Types.kernel -> result

@@ -40,6 +40,11 @@ let measure_full ~n_parents ~n_children =
     pattern = Pattern.Fully_connected;
   }
 
+let measure_pair ~n_parents ~n_children rel =
+  match rel with
+  | Bipartite.Fully_connected -> measure_full ~n_parents ~n_children
+  | Bipartite.Independent | Bipartite.Graph _ -> measure rel
+
 (* --- the codec itself ------------------------------------------------- *)
 
 type encoded =
@@ -141,20 +146,34 @@ let graph_of_parents_of ~n_parents (parents_of : int array array) =
     parents_of;
   Bipartite.Graph { Bipartite.n_parents; n_children; parents_of; children_of }
 
+(* The row [[| i |]] of a node's single neighbour [i], built on first use
+   in [rows] and shared by every node with that neighbour: no row of a
+   graph is mutated once the graph is built. *)
+let single rows i =
+  match rows.(i) with
+  | [||] ->
+    let r = [| i |] in
+    rows.(i) <- r;
+    r
+  | r -> r
+
 let decode = function
   | Enc_independent _ -> Bipartite.Independent
   | Enc_full _ -> Bipartite.Fully_connected
   | Enc_one_to_one { n } ->
     if n < 0 then invalid_arg "Encode.decode: negative size";
+    let rows = Array.init n (fun i -> [| i |]) in
     Bipartite.Graph
-      {
-        Bipartite.n_parents = n;
-        n_children = n;
-        parents_of = Array.init n (fun c -> [| c |]);
-        children_of = Array.init n (fun p -> [| p |]);
-      }
+      { Bipartite.n_parents = n; n_children = n; parents_of = rows; children_of = Array.copy rows }
   | Enc_one_to_n { n_parents; parent_of } ->
-    graph_of_parents_of ~n_parents (Array.map (fun p -> [| p |]) parent_of)
+    if n_parents < 0 then invalid_arg "Encode.decode: negative size";
+    let rows = Array.make n_parents [||] in
+    graph_of_parents_of ~n_parents
+      (Array.map
+         (fun p ->
+           if p < 0 || p >= n_parents then invalid_arg "Encode.decode: node out of range";
+           single rows p)
+         parent_of)
   | Enc_n_to_one { n_children; child_of } ->
     if n_children < 0 then invalid_arg "Encode.decode: negative size";
     let n_parents = Array.length child_of in
@@ -173,12 +192,13 @@ let decode = function
           fill.(c) <- fill.(c) + 1
         end)
       child_of;
+    let rows = Array.make n_children [||] in
     Bipartite.Graph
       {
         Bipartite.n_parents;
         n_children;
         parents_of;
-        children_of = Array.map (fun c -> if c >= 0 then [| c |] else [||]) child_of;
+        children_of = Array.map (fun c -> if c >= 0 then single rows c else [||]) child_of;
       }
   | Enc_n_group { group_of_parent; group_of_child } ->
     (* Parents of each group collected once (ascending, so sorted), not

@@ -9,8 +9,13 @@ type t =
   | Irregular
 
 let is_one_to_one (g : Bipartite.t) =
-  g.n_parents = g.n_children
-  && Array.for_all (fun x -> x) (Array.mapi (fun c ps -> ps = [| c |]) g.parents_of)
+  let rec from c =
+    c = Array.length g.parents_of
+    ||
+    let ps = g.parents_of.(c) in
+    Array.length ps = 1 && ps.(0) = c && from (c + 1)
+  in
+  g.n_parents = g.n_children && from 0
 
 (* Each child has exactly one parent, and no two parents share a child —
    which is automatic here; the paper's 1-to-n: "each parent TB has

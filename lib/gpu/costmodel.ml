@@ -14,62 +14,42 @@ type t = {
    launch-time cache memoizes; the jitter half below is keyed on the kernel
    sequence number and is recomputed per launch. *)
 type profile = {
-  pr_insts : float array;  (* per-TB dynamic instructions *)
-  pr_mem : float array;    (* per-TB dynamic memory instructions *)
+  pr_counts : Footprint.dyn_counts;  (* per-TB dynamic instruction counts *)
   pr_warps : int;
   pr_warp_waves : float;
 }
 
 let profile result (launch : Footprint.launch) =
-  let n = Footprint.tb_count launch in
   let threads = Bm_ptx.Types.dim3_count launch.Footprint.block in
   let warps = max 1 ((threads + 31) / 32) in
   (* Four warp schedulers per SM: warps beyond four lanes serialize. *)
   let warp_waves = float_of_int (max 1 ((warps + 3) / 4)) in
-  let insts = Array.make n 0.0 in
-  let mem = Array.make n 0.0 in
-  for tb = 0 to n - 1 do
-    insts.(tb) <- Footprint.per_tb_insts result launch ~tb;
-    mem.(tb) <- Footprint.per_tb_mem_insts result launch ~tb
-  done;
-  { pr_insts = insts; pr_mem = mem; pr_warps = warps; pr_warp_waves = warp_waves }
-
-(* Transparent view for the persistent analysis store: the mli keeps
-   [profile] abstract so only the cache layers rebuild one, but the store
-   must serialize it bit-exactly. *)
-type profile_repr = {
-  prr_insts : float array;
-  prr_mem : float array;
-  prr_warps : int;
-  prr_warp_waves : float;
-}
-
-let repr_of_profile p =
   {
-    prr_insts = Array.copy p.pr_insts;
-    prr_mem = Array.copy p.pr_mem;
-    prr_warps = p.pr_warps;
-    prr_warp_waves = p.pr_warp_waves;
-  }
-
-let profile_of_repr r =
-  {
-    pr_insts = Array.copy r.prr_insts;
-    pr_mem = Array.copy r.prr_mem;
-    pr_warps = r.prr_warps;
-    pr_warp_waves = r.prr_warp_waves;
+    pr_counts = Footprint.dynamic_counts result launch;
+    pr_warps = warps;
+    pr_warp_waves = warp_waves;
   }
 
 let of_profile (cfg : Config.t) ~kernel_seq p =
-  let n = Array.length p.pr_insts in
+  let base_us insts mem =
+    let cycles = (insts *. cfg.Config.cpi) +. (mem *. cfg.Config.mem_extra_cycles) in
+    Config.cycles_to_us cfg (cycles *. p.pr_warp_waves)
+  in
+  (* One coalesced request per warp per executed memory instruction. *)
+  let requests mem = mem *. float_of_int p.pr_warps in
+  (* A uniform profile has one nominal time and one request count. *)
+  let n, base_of, tb_mem =
+    match p.pr_counts with
+    | Footprint.Uniform u ->
+      let b = base_us u.insts u.mem in
+      (u.tbs, (fun _ -> b), Array.make u.tbs (requests u.mem))
+    | Footprint.Varying v ->
+      (Array.length v.insts, (fun tb -> base_us v.insts.(tb) v.mem.(tb)), Array.map requests v.mem)
+  in
   let tb_us = Array.make n 0.0 in
-  let tb_mem = Array.make n 0.0 in
   let sum = ref 0.0 in
   for tb = 0 to n - 1 do
-    let insts = p.pr_insts.(tb) in
-    let mem = p.pr_mem.(tb) in
-    let cycles = (insts *. cfg.Config.cpi) +. (mem *. cfg.Config.mem_extra_cycles) in
-    let base_us = Config.cycles_to_us cfg (cycles *. p.pr_warp_waves) in
+    let base_us = base_of tb in
     let j = Rng.jitter (cfg.Config.seed + kernel_seq) tb in
     (* Heavy-tailed straggler factor: most TBs are near nominal, a few run
        much longer (data-dependent work).  The tail weight scales with the
@@ -79,8 +59,6 @@ let of_profile (cfg : Config.t) ~kernel_seq p =
       base_us *. (1.0 +. (cfg.Config.jitter_frac *. ((2.0 *. j) -. 1.0))) *. tail
     in
     tb_us.(tb) <- jittered;
-    (* One coalesced request per warp per executed memory instruction. *)
-    tb_mem.(tb) <- mem *. float_of_int p.pr_warps;
     sum := !sum +. jittered
   done;
   { tb_us; tb_mem_requests = tb_mem; avg_tb_us = (if n = 0 then 0.0 else !sum /. float_of_int n) }

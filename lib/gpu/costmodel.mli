@@ -23,20 +23,6 @@ type profile
 
 val profile : Bm_analysis.Symeval.result -> Bm_analysis.Footprint.launch -> profile
 
-type profile_repr = {
-  prr_insts : float array;     (** per-TB dynamic instructions *)
-  prr_mem : float array;       (** per-TB dynamic memory instructions *)
-  prr_warps : int;
-  prr_warp_waves : float;
-}
-(** Transparent view of {!profile} for persistence layers (the disk-backed
-    analysis store serializes profiles with bit-pattern floats).  The
-    round trip [profile_of_repr (repr_of_profile p)] is the identity, bit
-    for bit. *)
-
-val repr_of_profile : profile -> profile_repr
-val profile_of_repr : profile_repr -> profile
-
 val of_profile : Config.t -> kernel_seq:int -> profile -> t
 (** Apply the per-launch deterministic jitter (hashed from [kernel_seq] and
     the TB id) to a profile.  [of_launch cfg ~kernel_seq r l] is exactly

@@ -11,7 +11,18 @@ type pair_result = {
   pr_sizes : Bm_depgraph.Encode.sizes;
 }
 
+(* Every launch-keyed table leads its key with [Footprint.launch_hash] of
+   the launch(es): the generic hash would stop before the scalar
+   arguments, and iterative apps relaunch one kernel hundreds of times
+   with only an argument changed. *)
+type launch_key = {
+  lk_hash : int;
+  lk_kid : int;
+  lk_fl : Footprint.launch;
+}
+
 type pair_key = {
+  pk_hash : int;
   pk_producer : int;
   pk_pfl : Footprint.launch;
   pk_consumer : int;
@@ -20,6 +31,7 @@ type pair_key = {
 }
 
 type rw_key = {
+  rk_hash : int;
   rk_kid : int;
   rk_fl : Footprint.launch;
   rk_buffers : (int * int * int) list;
@@ -37,8 +49,8 @@ type t = {
   fpstrs : (int, string) Lru.t;
   store : Store.t option;
   analysis : (int, Symeval.result) Lru.t;
-  footprints : (int * Footprint.launch, Footprint.kernel_footprints) Lru.t;
-  profiles : (int * Footprint.launch, Costmodel.profile) Lru.t;
+  footprints : (launch_key, Footprint.kernel_footprints) Lru.t;
+  profiles : (launch_key, Costmodel.profile) Lru.t;
   rws : (rw_key, Reorder.rw) Lru.t;
   pairs : (pair_key, pair_result) Lru.t;
   mutable kernel_hits : int;
@@ -52,6 +64,10 @@ type t = {
   mutable pair_hits : int;
   mutable pair_misses : int;
 }
+
+let pair_result ~n_parents ~n_children relation =
+  let sizes = Bm_depgraph.Encode.measure_pair ~n_parents ~n_children relation in
+  { pr_relation = relation; pr_pattern = sizes.Bm_depgraph.Encode.pattern; pr_sizes = sizes }
 
 let create ?(kernel_capacity = 256) ?(pair_capacity = 8192) ?store () =
   {
@@ -119,8 +135,10 @@ let analysis t ~kid compute =
     Lru.add t.analysis kid r;
     r
 
+let launch_key ~kid ~fl = { lk_hash = Footprint.launch_hash fl; lk_kid = kid; lk_fl = fl }
+
 let footprint t ~kid ~fl compute =
-  let key = (kid, fl) in
+  let key = launch_key ~kid ~fl in
   match Lru.find t.footprints key with
   | Some fp ->
     t.footprint_hits <- t.footprint_hits + 1;
@@ -136,23 +154,20 @@ let footprint t ~kid ~fl compute =
     fp
 
 let profile t ~kid ~fl compute =
-  let key = (kid, fl) in
+  let key = launch_key ~kid ~fl in
   match Lru.find t.profiles key with
   | Some p ->
     t.profile_hits <- t.profile_hits + 1;
     p
   | None ->
     t.profile_misses <- t.profile_misses + 1;
-    let p =
-      disk_tier t ~kid
-        ~dkey:(fun fps -> Store.profile_key ~fp:fps ~fl)
-        ~disk_find:Store.find_profile ~disk_put:Store.put_profile compute
-    in
+    (* No disk tier: computing a profile is cheaper than reading one. *)
+    let p = compute () in
     Lru.add t.profiles key p;
     p
 
 let rw t ~kid ~fl ~buffers compute =
-  let key = { rk_kid = kid; rk_fl = fl; rk_buffers = buffers } in
+  let key = { rk_hash = Footprint.launch_hash fl; rk_kid = kid; rk_fl = fl; rk_buffers = buffers } in
   match Lru.find t.rws key with
   | Some rw ->
     t.rw_hits <- t.rw_hits + 1;
@@ -169,7 +184,14 @@ let rw t ~kid ~fl ~buffers compute =
 
 let pair t ~pkid ~pfl ~ckid ~cfl ~max_degree compute =
   let key =
-    { pk_producer = pkid; pk_pfl = pfl; pk_consumer = ckid; pk_cfl = cfl; pk_degree = max_degree }
+    {
+      pk_hash = Footprint.launch_hash pfl + (31 * Footprint.launch_hash cfl);
+      pk_producer = pkid;
+      pk_pfl = pfl;
+      pk_consumer = ckid;
+      pk_cfl = cfl;
+      pk_degree = max_degree;
+    }
   in
   match Lru.find t.pairs key with
   | Some pr ->
@@ -190,19 +212,7 @@ let pair t ~pkid ~pfl ~ckid ~cfl ~max_degree compute =
           let n_parents = Bm_ptx.Types.dim3_count pfl.Footprint.grid in
           let n_children = Bm_ptx.Types.dim3_count cfl.Footprint.grid in
           match Store.find_relation s ~key:dkey with
-          | Some relation ->
-            let sizes =
-              match relation with
-              | Bm_depgraph.Bipartite.Fully_connected ->
-                Bm_depgraph.Encode.measure_full ~n_parents ~n_children
-              | Bm_depgraph.Bipartite.Independent | Bm_depgraph.Bipartite.Graph _ ->
-                Bm_depgraph.Encode.measure relation
-            in
-            {
-              pr_relation = relation;
-              pr_pattern = Bm_depgraph.Pattern.classify relation;
-              pr_sizes = sizes;
-            }
+          | Some relation -> pair_result ~n_parents ~n_children relation
           | None ->
             let pr = compute () in
             Store.put_relation s ~key:dkey ~n_parents ~n_children pr.pr_relation;

@@ -18,10 +18,11 @@
     The TB cost model is deliberately {e not} cached: its splitmix64 jitter
     is keyed on the launch sequence number.
 
-    With [?store], a third, persistent tier sits below the LRUs: an
-    in-memory miss consults the disk-backed {!Store} (keyed by the full
-    canonical fingerprint string, so entries are valid across processes),
-    and computed values are written through.  Disk hits still count as
+    With [?store], a third, persistent tier sits below the footprint,
+    rw-set and pair LRUs: an in-memory miss consults the disk-backed
+    {!Store} (keyed by the full canonical fingerprint string, so entries
+    are valid across processes), and computed values are written
+    through.  Disk hits still count as
     in-memory misses; the [prep.cache.disk.*] counters describe the disk
     tier separately.
 
@@ -65,8 +66,9 @@ val profile :
   (unit -> Bm_gpu.Costmodel.profile) ->
   Bm_gpu.Costmodel.profile
 (** Memoized launch-sequence-independent cost profile
-    ({!Bm_gpu.Costmodel.profile}).  The seq-keyed jitter half is applied
-    per launch and never cached. *)
+    ({!Bm_gpu.Costmodel.profile}), in memory only: the store does not
+    persist profiles, which are cheaper to compute than to read.  The
+    seq-keyed jitter half is applied per launch and never cached. *)
 
 val rw :
   t ->
@@ -85,6 +87,12 @@ type pair_result = {
   pr_pattern : Bm_depgraph.Pattern.t;
   pr_sizes : Bm_depgraph.Encode.sizes;
 }
+
+val pair_result : n_parents:int -> n_children:int -> Bm_depgraph.Bipartite.relation -> pair_result
+(** The pattern and encoded-storage sizes of a relation between launches
+    of [n_parents] and [n_children] TBs ({!Bm_depgraph.Encode.measure_pair},
+    which classifies once), as a computed and a loaded pair both derive
+    them. *)
 
 val pair :
   t ->

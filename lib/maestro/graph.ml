@@ -384,11 +384,7 @@ let summarize s =
     (fun n ->
       let n_parents = if n.n_prev >= 0 then s.s_nodes.(n.n_prev).n_tbs else 0 in
       edges := !edges + Bipartite.edge_count n.n_relation ~n_parents ~n_children:n.n_tbs;
-      let sizes =
-        match n.n_relation with
-        | Bipartite.Fully_connected -> Encode.measure_full ~n_parents ~n_children:n.n_tbs
-        | Bipartite.Independent | Bipartite.Graph _ -> Encode.measure n.n_relation
-      in
+      let sizes = Encode.measure_pair ~n_parents ~n_children:n.n_tbs n.n_relation in
       bytes := !bytes + sizes.Encode.encoded_bytes)
     s.s_nodes;
   {

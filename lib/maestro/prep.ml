@@ -14,7 +14,6 @@ type launch_info = {
   li_prev : int option;  (* predecessor launch in the same stream *)
   li_spec : Command.launch_spec;
   li_result : Symeval.result;
-  li_fp : Footprint.kernel_footprints;
   li_cost : Costmodel.t;
   li_tbs : int;
   li_relation : Bipartite.relation;
@@ -64,6 +63,20 @@ let command_rw cmd krw =
   | Command.Kernel_launch spec -> krw spec
   | Command.Device_synchronize -> { Reorder.reads = []; writes = [] }
 
+(* The per-call memo key of a launch: kernel name (unique within an app)
+   and launch configuration, led by the full launch hash — the generic
+   hash would stop before the scalar arguments that tell an iterative
+   app's relaunches apart. *)
+type lkey = {
+  lk_hash : int;
+  lk_name : string;
+  lk_fl : Footprint.launch;
+}
+
+let lkey (spec : Command.launch_spec) =
+  let fl = Command.footprint_launch spec in
+  { lk_hash = Footprint.launch_hash fl; lk_name = spec.Command.kernel.Bm_ptx.Types.kname; lk_fl = fl }
+
 let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) =
   (* Two memo layers.  L1 (per call, keyed by kernel name — unique within an
      app): apps reuse kernels across many launches (GAUSSIAN alone has 510
@@ -103,16 +116,19 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
       r
   in
   (* Footprints are cached per (kernel, launch configuration): iterative apps
-     relaunch identical configurations hundreds of times. *)
+     relaunch identical configurations hundreds of times.  Only an rw-set
+     or pair miss asks for one, so a preparation whose rw-sets and pairs
+     all hit (disk-warm) never computes or loads a footprint. *)
   let fp_cache = Hashtbl.create 64 in
   let footprint spec =
-    let fl = Command.footprint_launch spec in
-    let key = (spec.Command.kernel.Bm_ptx.Types.kname, fl) in
+    let key = lkey spec in
+    let fl = key.lk_fl in
     match Hashtbl.find_opt fp_cache key with
     | Some fp -> fp
     | None ->
       let compute () =
-        Prof.with_span prof "footprint" (fun () -> Footprint.of_result (analyze spec.Command.kernel) fl)
+        let r = analyze spec.Command.kernel in
+        Prof.with_span prof "footprint" (fun () -> Footprint.of_result r fl)
       in
       let fp =
         match cache with
@@ -127,14 +143,14 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
      launch below and never cached. *)
   let profile_memo = Hashtbl.create 64 in
   let profile_of (spec : Command.launch_spec) =
-    let fl = Command.footprint_launch spec in
-    let key = (spec.Command.kernel.Bm_ptx.Types.kname, fl) in
+    let key = lkey spec in
+    let fl = key.lk_fl in
     match Hashtbl.find_opt profile_memo key with
     | Some p -> p
     | None ->
       let compute () =
-        Prof.with_span prof "costmodel" (fun () ->
-            Costmodel.profile (analyze spec.Command.kernel) fl)
+        let r = analyze spec.Command.kernel in
+        Prof.with_span prof "costmodel" (fun () -> Costmodel.profile r fl)
       in
       let p =
         match cache with
@@ -150,12 +166,12 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
      meaningful relative to this app's buffer layout, so the cross-call
      tiers key the layout too (Cache.rw). *)
   let rw_memo = Hashtbl.create 64 in
-  let rw_of (spec : Command.launch_spec) fp =
-    let key = (spec.Command.kernel.Bm_ptx.Types.kname, Command.footprint_launch spec) in
+  let rw_of (spec : Command.launch_spec) =
+    let key = lkey spec in
     match Hashtbl.find_opt rw_memo key with
     | Some rw -> rw
     | None ->
-      let compute () = kernel_rw spec fp in
+      let compute () = kernel_rw spec (footprint spec) in
       let rw =
         match cache with
         | None -> compute ()
@@ -165,10 +181,7 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
               (fun (b : Command.buffer) -> (b.Command.buf_id, b.Command.base, b.Command.bytes))
               (Command.buffers_of_args spec)
           in
-          Cache.rw c
-            ~kid:(kid_of spec.Command.kernel)
-            ~fl:(Command.footprint_launch spec)
-            ~buffers compute
+          Cache.rw c ~kid:(kid_of spec.Command.kernel) ~fl:key.lk_fl ~buffers compute
       in
       Hashtbl.add rw_memo key rw;
       rw
@@ -177,34 +190,24 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
      both kernels and both launch configurations (grids drive the
      Fully_connected sizes), plus the degree cap. *)
   let pair_memo = Hashtbl.create 64 in
-  let pair_of (pspec : Command.launch_spec) pfp (spec : Command.launch_spec) fp =
-    let pfl = Command.footprint_launch pspec in
-    let cfl = Command.footprint_launch spec in
-    let key =
-      ( pspec.Command.kernel.Bm_ptx.Types.kname,
-        pfl,
-        spec.Command.kernel.Bm_ptx.Types.kname,
-        cfl )
-    in
+  let pair_of (pspec : Command.launch_spec) (spec : Command.launch_spec) =
+    let pkey = lkey pspec and ckey = lkey spec in
+    let pfl = pkey.lk_fl and cfl = ckey.lk_fl in
+    let key = (pkey, ckey) in
     match Hashtbl.find_opt pair_memo key with
     | Some pr -> pr
     | None ->
       let compute () =
+        let pfp = footprint pspec and fp = footprint spec in
         let relation =
           Prof.with_span prof "relate" (fun () ->
               Bipartite.relate ~max_degree:cfg.Config.max_parent_degree pfp fp)
         in
-        let pattern = Pattern.classify relation in
-        let sizes =
-          Prof.with_span prof "encode" (fun () ->
-              match relation with
-              | Bipartite.Fully_connected ->
-                Encode.measure_full
-                  ~n_parents:(Bm_ptx.Types.dim3_count pspec.Command.grid)
-                  ~n_children:(Bm_ptx.Types.dim3_count spec.Command.grid)
-              | Bipartite.Independent | Bipartite.Graph _ -> Encode.measure relation)
-        in
-        { Cache.pr_relation = relation; pr_pattern = pattern; pr_sizes = sizes }
+        Prof.with_span prof "encode" (fun () ->
+            Cache.pair_result
+              ~n_parents:(Bm_ptx.Types.dim3_count pspec.Command.grid)
+              ~n_children:(Bm_ptx.Types.dim3_count spec.Command.grid)
+              relation)
       in
       let pr =
         match cache with
@@ -221,7 +224,7 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
   in
   (* Reorder (or keep) the command stream. *)
   let original = Array.of_list app.Command.commands in
-  let rws = Array.map (fun c -> command_rw c (fun spec -> rw_of spec (footprint spec))) original in
+  let rws = Array.map (fun c -> command_rw c rw_of) original in
   let final =
     if reorder then
       Prof.with_span prof "reorder" (fun () ->
@@ -238,9 +241,7 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
   let seq = ref 0 in
   (* Per-stream predecessor tracking: dependencies are only enforced (and
      in-order completion only required) within a stream. *)
-  let stream_prev : (int, int * Footprint.kernel_footprints * Command.launch_spec) Hashtbl.t =
-    Hashtbl.create 4
-  in
+  let stream_prev : (int, int * Command.launch_spec) Hashtbl.t = Hashtbl.create 4 in
   Array.iteri
     (fun ci cmd ->
       match cmd with
@@ -250,24 +251,21 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
         d2h_wait.(ci) <- Hashtbl.find_opt last_writer b.Command.buf_id
       | Command.Kernel_launch spec ->
         let result = analyze spec.Command.kernel in
-        let fp = footprint spec in
-        let rw = rw_of spec fp in
+        let rw = rw_of spec in
         let prev = Hashtbl.find_opt stream_prev spec.Command.stream in
-        let relation, pattern, sizes =
+        let pr =
           match prev with
-          | None ->
-            (Bipartite.Independent, Pattern.classify Bipartite.Independent,
-             Encode.measure Bipartite.Independent)
-          | Some (_, pfp, pspec) ->
-            let pr = pair_of pspec pfp spec fp in
-            (pr.Cache.pr_relation, pr.Cache.pr_pattern, pr.Cache.pr_sizes)
+          | None -> Cache.pair_result ~n_parents:0 ~n_children:0 Bipartite.Independent
+          | Some (_, pspec) -> pair_of pspec spec
         in
         let cost =
           (* The jitter application is never cached: it is keyed on the
              launch sequence number, which differs between structurally
-             equal launches.  Only the profile underneath is memoized. *)
+             equal launches.  Only the profile underneath is memoized; it
+             is resolved first, so its own span does not nest in this one. *)
+          let profile = profile_of spec in
           Prof.with_span prof "costmodel" (fun () ->
-              Costmodel.of_profile cfg ~kernel_seq:!seq (profile_of spec))
+              Costmodel.of_profile cfg ~kernel_seq:!seq profile)
         in
         let copy_deps =
           List.filter_map (fun buf_id -> Hashtbl.find_opt pending_h2d buf_id) rw.Reorder.reads
@@ -277,19 +275,18 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
         launches :=
           {
             li_seq = !seq;
-            li_prev = (match prev with Some (p, _, _) -> Some p | None -> None);
+            li_prev = (match prev with Some (p, _) -> Some p | None -> None);
             li_spec = spec;
             li_result = result;
-            li_fp = fp;
             li_cost = cost;
             li_tbs = Bm_ptx.Types.dim3_count spec.Command.grid;
-            li_relation = relation;
-            li_pattern = pattern;
-            li_sizes = sizes;
+            li_relation = pr.Cache.pr_relation;
+            li_pattern = pr.Cache.pr_pattern;
+            li_sizes = pr.Cache.pr_sizes;
             li_copy_deps = copy_deps;
           }
           :: !launches;
-        Hashtbl.replace stream_prev spec.Command.stream (!seq, fp, spec);
+        Hashtbl.replace stream_prev spec.Command.stream (!seq, spec);
         incr seq)
     final;
   {
@@ -305,17 +302,9 @@ let with_relation t ~seq relation =
       (fun li ->
         if li.li_seq <> seq then li
         else
-          let pattern = Pattern.classify relation in
-          let sizes =
-            match relation with
-            | Bipartite.Fully_connected ->
-              let n_parents =
-                match li.li_prev with Some p -> t.p_launches.(p).li_tbs | None -> 0
-              in
-              Encode.measure_full ~n_parents ~n_children:li.li_tbs
-            | Bipartite.Independent | Bipartite.Graph _ -> Encode.measure relation
-          in
-          { li with li_relation = relation; li_pattern = pattern; li_sizes = sizes })
+          let n_parents = match li.li_prev with Some p -> t.p_launches.(p).li_tbs | None -> 0 in
+          let sizes = Encode.measure_pair ~n_parents ~n_children:li.li_tbs relation in
+          { li with li_relation = relation; li_pattern = sizes.Encode.pattern; li_sizes = sizes })
       t.p_launches
   in
   { t with p_launches = launches }

@@ -12,7 +12,6 @@ type launch_info = {
   li_prev : int option;                         (** predecessor launch in the same stream *)
   li_spec : Bm_gpu.Command.launch_spec;
   li_result : Bm_analysis.Symeval.result;
-  li_fp : Bm_analysis.Footprint.kernel_footprints;
   li_cost : Bm_gpu.Costmodel.t;
   li_tbs : int;
   li_relation : Bm_depgraph.Bipartite.relation;
@@ -49,7 +48,10 @@ val prepare :
     graph construction), [encode] and [costmodel] — nested under whatever
     span the caller has open.  Cached stages (a kernel analyzed once, a
     footprint reused across relaunches) only charge their first
-    computation.
+    computation, and no stage's span contains another's.  Footprints
+    are computed (or loaded) only when an rw-set or pair lookup misses;
+    {!Bm_analysis.Footprint.of_result} on [li_result] and the launch
+    recomputes one.
 
     [cache] memoizes analysis, footprint and pair results across [prepare]
     calls by structural kernel fingerprint ({!Cache}); results are

@@ -49,6 +49,14 @@ let dependencies rws =
   done;
   !edges
 
+module Ready = Set.Make (Int)
+
+(* The schedule: drain every ready non-kernel command in index order,
+   then emit the lowest-index ready kernel, and repeat.  Every dependency
+   points forward (i < j), so a command made ready by an emission lies
+   ahead of it: one pass in index order drains everything ready, and
+   ordered sets give that order without rescanning the command list for
+   every kernel. *)
 let reorder commands =
   let keep =
     Array.to_list commands
@@ -64,41 +72,37 @@ let reorder commands =
       indeg.(j) <- indeg.(j) + 1;
       succs.(i) <- j :: succs.(i))
     (dependencies rws);
-  let emitted = Array.make n false in
+  let is_kernel i = match fst keep.(i) with Command.Kernel_launch _ -> true | _ -> false in
+  let kernels = ref Ready.empty and others = ref Ready.empty in
+  let ready j =
+    if is_kernel j then kernels := Ready.add j !kernels else others := Ready.add j !others
+  in
   let out = ref [] in
   let emit i =
-    emitted.(i) <- true;
     out := fst keep.(i) :: !out;
-    List.iter (fun j -> indeg.(j) <- indeg.(j) - 1) succs.(i)
+    List.iter
+      (fun j ->
+        indeg.(j) <- indeg.(j) - 1;
+        if indeg.(j) = 0 then ready j)
+      succs.(i)
   in
-  let is_kernel i = match fst keep.(i) with Command.Kernel_launch _ -> true | _ -> false in
-  let remaining = ref n in
-  while !remaining > 0 do
-    (* Drain every ready non-kernel command. *)
-    let progressed = ref true in
-    while !progressed do
-      progressed := false;
-      for i = 0 to n - 1 do
-        if (not emitted.(i)) && indeg.(i) = 0 && not (is_kernel i) then begin
-          emit i;
-          decr remaining;
-          progressed := true
-        end
-      done
-    done;
-    (* Then the first ready kernel, preserving kernel order. *)
-    let k = ref (-1) in
-    for i = n - 1 downto 0 do
-      if (not emitted.(i)) && indeg.(i) = 0 && is_kernel i then k := i
-    done;
-    if !k >= 0 then begin
-      emit !k;
-      decr remaining
-    end
-    else if !remaining > 0 then begin
-      (* No ready command at all would mean a dependency cycle, which is
-         impossible for edges i < j. *)
-      assert (!remaining = 0)
-    end
-  done;
+  Array.iteri (fun i d -> if d = 0 then ready i) indeg;
+  let rec schedule () =
+    match Ready.min_elt_opt !others with
+    | Some i ->
+      others := Ready.remove i !others;
+      emit i;
+      schedule ()
+    | None -> (
+      match Ready.min_elt_opt !kernels with
+      | Some k ->
+        kernels := Ready.remove k !kernels;
+        emit k;
+        schedule ()
+      | None ->
+        (* Nothing ready with commands left would mean a dependency
+           cycle, which is impossible for edges i < j. *)
+        assert (List.length !out = n))
+  in
+  schedule ();
   List.rev !out

@@ -39,14 +39,13 @@
 module Json = Bm_metrics.Json
 module Footprint = Bm_analysis.Footprint
 module I = Bm_analysis.Sinterval
-module Costmodel = Bm_gpu.Costmodel
 module Bipartite = Bm_depgraph.Bipartite
 module Metrics = Bm_metrics.Metrics
 open Jsonc
 
 let schema = "bm-store"
 let schema_version = 1
-let families = [ "fp"; "prof"; "rw"; "pair"; "fpx" ]
+let families = [ "fp"; "rw"; "pair"; "fpx" ]
 
 type t = {
   dir : string;
@@ -149,7 +148,6 @@ let launch_canonical (fl : Footprint.launch) =
 let key_header family = Printf.sprintf "%s/%d;%s" schema schema_version family
 
 let hdr_fp = key_header "fp"
-let hdr_prof = key_header "prof"
 let hdr_rw = key_header "rw"
 let hdr_pair = key_header "pair"
 
@@ -161,7 +159,6 @@ let launch_keyed hdr ~fp ~fl =
   { header = Buffer.contents b; parts = [ fp ] }
 
 let footprint_key ~fp ~fl = launch_keyed hdr_fp ~fp ~fl
-let profile_key ~fp ~fl = launch_keyed hdr_prof ~fp ~fl
 
 let rw_key ~fp ~fl ~buffers =
   (* [buffers] are (id, base, bytes) triples from the launch arguments:
@@ -380,30 +377,6 @@ let footprints_of_json j =
   | v -> Ok v
   | exception Bad msg -> Error msg
 
-let json_of_profile p =
-  let r = Costmodel.repr_of_profile p in
-  Json.Obj
-    [
-      ("i", json_of_packed_floats_rle r.Costmodel.prr_insts);
-      ("m", json_of_packed_floats_rle r.Costmodel.prr_mem);
-      ("w", Json.Num (float_of_int r.Costmodel.prr_warps));
-      ("ww", json_of_float r.Costmodel.prr_warp_waves);
-    ]
-
-let profile_of_json j =
-  let what = "profile" in
-  match
-    Costmodel.profile_of_repr
-      {
-        Costmodel.prr_insts = packed_floats_rle_of_json ~what:(what ^ ".i") (field ~what "i" j);
-        prr_mem = packed_floats_rle_of_json ~what:(what ^ ".m") (field ~what "m" j);
-        prr_warps = int_field ~what "w" j;
-        prr_warp_waves = float_of_json ~what:(what ^ ".ww") (field ~what "ww" j);
-      }
-  with
-  | v -> Ok v
-  | exception Bad msg -> Error msg
-
 let json_of_rw (rw : Reorder.rw) =
   Json.Obj
     [
@@ -527,6 +500,42 @@ let rec verify_parts t hexes parts =
     match verify_part t hex part with `Ok -> verify_parts t hexes parts | bad -> bad)
   | _ -> `Mismatch
 
+(* An entry file up to its value: the JSON object [put] writes, whose
+   leading fields — schema, version, family, header echo, fingerprint
+   digests — are all fixed by the key.  [put] writes these pieces
+   verbatim, so [find] matches an entry's identity in place, piece by
+   piece, and parses only the value. *)
+let envelope_lead = Printf.sprintf {|{"schema":"%s","version":%d,"family":"|} schema schema_version
+
+let envelope_pieces ~family ~header ~hexes =
+  envelope_lead :: family :: {|","hdr":"|} :: Json.escape header :: {|","fps":[|}
+  :: List.concat (List.mapi (fun i hex -> [ (if i > 0 then {|,"|} else {|"|}); hex; {|"|} ]) hexes)
+  @ [ {|],"value":|} ]
+
+(* [data] holds [piece] at [pos]. *)
+let holds data pos piece =
+  let n = String.length piece in
+  pos + n <= String.length data
+  &&
+  let rec from i = i = n || (data.[pos + i] = piece.[i] && from (i + 1)) in
+  from 0
+
+(* The value of an entry whose file is the pieces, a JSON value, and the
+   closing brace; [None] for anything else, which the full parse then
+   classifies. *)
+let fast_value pieces data =
+  let dl = String.length data in
+  let rec past pos = function
+    | [] -> Some pos
+    | piece :: rest -> if holds data pos piece then past (pos + String.length piece) rest else None
+  in
+  match past 0 pieces with
+  | Some hl when dl > hl + 1 && data.[dl - 1] = '}' -> (
+    match Json.of_string (String.sub data hl (dl - hl - 1)) with
+    | Ok v -> Some v
+    | Error _ -> None)
+  | Some _ | None -> None
+
 (* A miss of any flavor returns None; the caller recomputes and [put]s,
    overwriting whatever was there.  Never raises. *)
 let find t ~family ~key ~decode =
@@ -540,12 +549,27 @@ let find t ~family ~key ~decode =
     t.stale <- t.stale + 1;
     None
   in
+  (* The identity checks passed; the interned texts and the value decide. *)
+  let accept value =
+    match verify_parts t hexes key.parts with
+    | `Missing -> corrupt ()
+    | `Mismatch -> stale ()
+    | `Ok -> (
+      match Option.map decode value with
+      | None | Some (Error _) -> corrupt ()
+      | Some (Ok v) ->
+        t.hits <- t.hits + 1;
+        Some v)
+  in
   match read_file file with
   | `Absent ->
     t.misses <- t.misses + 1;
     None
   | `Unreadable -> corrupt ()
   | `Ok data -> (
+    match fast_value (envelope_pieces ~family ~header:key.header ~hexes) data with
+    | Some value -> accept (Some value)
+    | None -> (
       match Json.of_string data with
       | Error _ -> corrupt ()
       | Ok j -> (
@@ -562,21 +586,9 @@ let find t ~family ~key ~decode =
         | Some s, Some v, Some f, Some h, Some fps
           when s = schema && Json.to_int v = Some schema_version && f = family ->
           if not (String.equal h key.header && fps = hexes) then stale ()
-          else (
-            match verify_parts t hexes key.parts with
-            | `Missing -> corrupt ()
-            | `Mismatch -> stale ()
-            | `Ok -> (
-              match Json.member "value" j with
-              | None -> corrupt ()
-              | Some value -> (
-                match decode value with
-                | Error _ -> corrupt ()
-                | Ok v ->
-                  t.hits <- t.hits + 1;
-                  Some v)))
+          else accept (Json.member "value" j)
         | Some _, Some _, Some _, Some _, Some _ -> stale ()
-        | _ -> corrupt ()))
+        | _ -> corrupt ())))
 
 let put t ~family ~key value =
   if not t.read_only then begin
@@ -596,16 +608,8 @@ let put t ~family ~key value =
         end)
       hexes key.parts;
     let data =
-      Json.to_string
-        (Json.Obj
-           [
-             ("schema", Json.Str schema);
-             ("version", Json.Num (float_of_int schema_version));
-             ("family", Json.Str family);
-             ("hdr", Json.Str key.header);
-             ("fps", Json.Arr (List.map (fun h -> Json.Str h) hexes));
-             ("value", value);
-           ])
+      String.concat ""
+        (envelope_pieces ~family ~header:key.header ~hexes @ [ Json.to_string value; "}" ])
     in
     match write_file (entry_path t ~family ~hexes ~header:key.header) data with
     | Some n -> t.bytes_written <- t.bytes_written + n
@@ -616,9 +620,6 @@ let put t ~family ~key value =
 
 let find_footprints t ~key = find t ~family:"fp" ~key ~decode:footprints_of_json
 let put_footprints t ~key v = put t ~family:"fp" ~key (json_of_footprints v)
-
-let find_profile t ~key = find t ~family:"prof" ~key ~decode:profile_of_json
-let put_profile t ~key v = put t ~family:"prof" ~key (json_of_profile v)
 
 let find_rw t ~key = find t ~family:"rw" ~key ~decode:rw_of_json
 let put_rw t ~key v = put t ~family:"rw" ~key (json_of_rw v)

@@ -1,16 +1,20 @@
 (** Persistent cross-process analysis cache: a disk-backed fingerprint
     store that makes every cold start warm.
 
-    The store persists the cacheable launch-time analysis artifacts —
-    {!Bm_analysis.Footprint} results, {!Bm_gpu.Costmodel} profiles,
-    rw-sets, and fingerprint-keyed pair relations (bipartite graphs in
-    their Table I encoded form) — to a cache directory as JSON with
-    IEEE-754 bit-pattern floats, exactly as {!Graph} persists captured
-    schedules.  Bulk arrays use {!Jsonc}'s packed delta+RLE string
-    payloads, and the bulky fingerprint texts are interned content-
-    addressed in one [fpx/] file per distinct kernel rather than repeated
-    per entry, so a disk-warm preparation is read-bound (the bench perf
-    gate commits to a speedup factor over cold analysis).  Every value is
+    The store persists the launch-time analysis artifacts that cost more
+    to compute than to read — {!Bm_analysis.Footprint} results, rw-sets,
+    and fingerprint-keyed pair relations (bipartite graphs in their
+    Table I encoded form) — to a cache directory as JSON, as {!Graph}
+    persists captured schedules.  Cost profiles are not persisted: with
+    launch-invariant trip counts evaluated once per launch
+    ({!Bm_analysis.Footprint.dynamic_counts}) computing one is cheaper
+    than reading it, and a store written before that holds a [prof/]
+    directory nothing reads.  Bulk arrays use {!Jsonc}'s packed
+    delta+RLE string payloads, and the bulky fingerprint texts are
+    interned content-addressed in one [fpx/] file per distinct kernel
+    rather than repeated per entry, so a disk-warm preparation is
+    read-bound (the bench perf gate commits to a speedup factor over cold
+    analysis).  Every value is
     a pure function of its key, and disk-warm preparation is required to
     be cycle-exact against cold preparation.
 
@@ -46,8 +50,8 @@ val dir : t -> string
 val read_only : t -> bool
 
 val families : string list
-(** The per-family subdirectories: ["fp"] footprints, ["prof"] cost
-    profiles, ["rw"] rw-sets, ["pair"] pair relations, ["fpx"] the
+(** The per-family subdirectories: ["fp"] footprints, ["rw"] rw-sets,
+    ["pair"] pair relations, ["fpx"] the
     content-addressed interned fingerprint texts the other families
     reference. *)
 
@@ -67,8 +71,6 @@ val launch_canonical : Bm_analysis.Footprint.launch -> string
 val footprint_key : fp:string -> fl:Bm_analysis.Footprint.launch -> key
 (** [fp] is the kernel's canonical fingerprint string
     ({!Bm_analysis.Fingerprint.to_string}). *)
-
-val profile_key : fp:string -> fl:Bm_analysis.Footprint.launch -> key
 
 val rw_key :
   fp:string -> fl:Bm_analysis.Footprint.launch -> buffers:(int * int * int) list -> key
@@ -92,8 +94,6 @@ val pair_key :
 
 val find_footprints : t -> key:key -> Bm_analysis.Footprint.kernel_footprints option
 val put_footprints : t -> key:key -> Bm_analysis.Footprint.kernel_footprints -> unit
-val find_profile : t -> key:key -> Bm_gpu.Costmodel.profile option
-val put_profile : t -> key:key -> Bm_gpu.Costmodel.profile -> unit
 val find_rw : t -> key:key -> Reorder.rw option
 val put_rw : t -> key:key -> Reorder.rw -> unit
 val find_relation : t -> key:key -> Bm_depgraph.Bipartite.relation option
@@ -111,8 +111,6 @@ val put_relation :
 
 val json_of_footprints : Bm_analysis.Footprint.kernel_footprints -> Bm_metrics.Json.t
 val footprints_of_json : Bm_metrics.Json.t -> (Bm_analysis.Footprint.kernel_footprints, string) result
-val json_of_profile : Bm_gpu.Costmodel.profile -> Bm_metrics.Json.t
-val profile_of_json : Bm_metrics.Json.t -> (Bm_gpu.Costmodel.profile, string) result
 val json_of_rw : Reorder.rw -> Bm_metrics.Json.t
 val rw_of_json : Bm_metrics.Json.t -> (Reorder.rw, string) result
 

@@ -61,6 +61,10 @@ let relation_equal a b =
   | Bipartite.Graph x, Bipartite.Graph y -> Bipartite.equal x y
   | _ -> false
 
+(* The static footprints a launch's relation was built from. *)
+let static_fp (li : Prep.launch_info) =
+  Footprint.of_result li.Prep.li_result (Command.footprint_launch li.Prep.li_spec)
+
 let check_app ?(cfg = Config.titan_x_pascal) ?fuel app =
   let prep = Prep.prepare ~reorder:true cfg app in
   let mem = Interp.memory () in
@@ -88,7 +92,7 @@ let check_app ?(cfg = Config.titan_x_pascal) ?fuel app =
            let relate_diff =
              let naive =
                naive_relate ~max_degree:cfg.Config.max_parent_degree
-                 prep.Prep.p_launches.(p).Prep.li_fp li.Prep.li_fp
+                 (static_fp prep.Prep.p_launches.(p)) (static_fp li)
              in
              if relation_equal naive li.Prep.li_relation then None
              else

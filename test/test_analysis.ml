@@ -148,11 +148,17 @@ let test_footprint_matvec () =
     in
     Alcotest.(check bool) "reads its rows of A" true covers_a
 
+(* TB 0's dynamic instruction count. *)
+let tb0_insts = function
+  | Footprint.Uniform u -> u.insts
+  | Footprint.Varying v -> v.insts.(0)
+
 let test_per_tb_insts_loop_scaling () =
   let r = Symeval.analyze (matvec_loop ()) in
   let args k = [ ("n", 256); ("kdim", k); ("A", 0); ("X", 1 lsl 20); ("Y", 1 lsl 21) ] in
-  let small = Footprint.per_tb_insts r (launch_1d ~block:64 ~args:(args 8) 4) ~tb:0 in
-  let big = Footprint.per_tb_insts r (launch_1d ~block:64 ~args:(args 64) 4) ~tb:0 in
+  let insts launch = tb0_insts (Footprint.dynamic_counts r launch) in
+  let small = insts (launch_1d ~block:64 ~args:(args 8) 4) in
+  let big = insts (launch_1d ~block:64 ~args:(args 64) 4) in
   Alcotest.(check bool) "8x loop -> more dynamic instructions" true (big > small *. 4.0)
 
 let test_whole_footprint () =
@@ -372,8 +378,9 @@ let test_nested_loops_insts () =
     { Footprint.grid = T.dim3 2; block = T.dim3 32;
       args = [ ("outer", 4); ("inner", inner); ("IN", 0x1000); ("OUT", 0x9000) ] }
   in
-  let small = Footprint.per_tb_insts r (launch 2) ~tb:0 in
-  let big = Footprint.per_tb_insts r (launch 16) ~tb:0 in
+  let insts launch = tb0_insts (Footprint.dynamic_counts r launch) in
+  let small = insts (launch 2) in
+  let big = insts (launch 16) in
   Alcotest.(check bool) "inner trip multiplies" true (big > 4.0 *. small)
 
 let test_downward_loop () =

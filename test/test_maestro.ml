@@ -135,6 +135,70 @@ let prop_reorder_hazard_pairs_ordered =
         cmds;
       !ok)
 
+(* The schedule [Reorder.reorder] must produce, computed the naive way:
+   passes over the whole list in index order emitting every ready
+   non-kernel until a pass emits nothing, then the lowest-index ready
+   kernel, repeated. *)
+let reorder_reference commands =
+  let keep =
+    List.filter
+      (fun (c, _) -> match c with Command.Device_synchronize -> false | _ -> true)
+      (Array.to_list commands)
+    |> Array.of_list
+  in
+  let n = Array.length keep in
+  let preds = Array.make n [] in
+  List.iter (fun (i, j) -> preds.(j) <- i :: preds.(j)) (Reorder.dependencies (Array.map snd keep));
+  let emitted = Array.make n false in
+  let out = ref [] in
+  let ready i = (not emitted.(i)) && List.for_all (fun p -> emitted.(p)) preds.(i) in
+  let is_kernel i = match fst keep.(i) with Command.Kernel_launch _ -> true | _ -> false in
+  let emit i =
+    emitted.(i) <- true;
+    out := fst keep.(i) :: !out
+  in
+  let rec schedule () =
+    let progressed = ref true in
+    while !progressed do
+      progressed := false;
+      for i = 0 to n - 1 do
+        if ready i && not (is_kernel i) then begin
+          emit i;
+          progressed := true
+        end
+      done
+    done;
+    match List.find_opt (fun i -> ready i && is_kernel i) (List.init n Fun.id) with
+    | Some k ->
+      emit k;
+      schedule ()
+    | None -> ()
+  in
+  schedule ();
+  List.rev !out
+
+let prop_reorder_matches_reference =
+  QCheck2.Test.make ~name:"reorder: schedule equals the pass-scan reference" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 1 60)
+        (triple (int_range 0 5) (small_list (int_range 0 5)) (small_list (int_range 0 5))))
+    (fun specs ->
+      let cmds =
+        Array.of_list
+          (List.mapi
+             (fun i (kind, reads, writes) ->
+               let c =
+                 match kind with
+                 | 0 | 1 | 2 -> launch_cmd (buf i) (buf i)
+                 | 3 -> Command.Device_synchronize
+                 | _ -> Command.Memcpy_h2d (buf i)
+               in
+               (c, rw (List.sort_uniq compare reads) (List.sort_uniq compare writes)))
+             specs)
+      in
+      let out = Reorder.reorder cmds and expected = reorder_reference cmds in
+      List.length out = List.length expected && List.for_all2 ( == ) out expected)
+
 (* --- prep ----------------------------------------------------------- *)
 
 let chain_app ~work ~kernels ~tbs () =
@@ -391,6 +455,7 @@ let suite =
     Alcotest.test_case "modes: parameters" `Quick test_modes;
     QCheck_alcotest.to_alcotest prop_reorder_preserves_hazards;
     QCheck_alcotest.to_alcotest prop_reorder_hazard_pairs_ordered;
+    QCheck_alcotest.to_alcotest prop_reorder_matches_reference;
   ]
 
 (* --- streams ---------------------------------------------------------- *)

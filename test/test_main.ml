@@ -5,6 +5,7 @@ let () =
       ("ptx", Test_ptx.suite);
       ("sinterval", Test_sinterval.suite);
       ("analysis", Test_analysis.suite);
+      ("tbinvariant", Test_tbinvariant.suite);
       ("interp", Test_interp.suite);
       ("depgraph", Test_depgraph.suite);
       ("gpu", Test_gpu.suite);

@@ -1,7 +1,7 @@
 (* Persistent analysis store (Store): the disk-backed fingerprint cache.
 
    The gate for the disk tier: (1) every value codec — footprints with
-   TB-delta groups, bit-pattern float profiles, rw-sets, packed relations,
+   TB-delta groups, rw-sets, packed relations,
    and the delta+RLE payload primitives underneath — must round-trip
    exactly (qcheck, bit-for-bit for floats); (2) malformed payloads must
    decode to errors, never exceptions; (3) every keyed field must change
@@ -15,8 +15,6 @@
 module T = Bm_ptx.Types
 module I = Bm_analysis.Sinterval
 module Footprint = Bm_analysis.Footprint
-module Symeval = Bm_analysis.Symeval
-module Costmodel = Bm_gpu.Costmodel
 module Config = Bm_gpu.Config
 module Bipartite = Bm_depgraph.Bipartite
 module Json = Bm_metrics.Json
@@ -153,25 +151,6 @@ let prop_footprints_roundtrip =
       | Ok fp' -> fp' = fp
       | Error e -> QCheck2.Test.fail_reportf "decode error: %s" e)
 
-let prop_profile_roundtrip =
-  QCheck2.Test.make ~name:"store: profile codec bit round-trip" ~count:300
-    QCheck2.Gen.(
-      map
-        (fun (((i, m), warps), waves) ->
-          { Costmodel.prr_insts = i; prr_mem = m; prr_warps = warps; prr_warp_waves = waves })
-        (pair (pair (pair gen_float_array gen_float_array) (int_range 1 64)) gen_float))
-    (fun repr ->
-      let p = Costmodel.profile_of_repr repr in
-      match Store.profile_of_json (Store.json_of_profile p) with
-      | Error e -> QCheck2.Test.fail_reportf "decode error: %s" e
-      | Ok p' ->
-        let r' = Costmodel.repr_of_profile p' in
-        float_arrays_bit_equal r'.Costmodel.prr_insts repr.Costmodel.prr_insts
-        && float_arrays_bit_equal r'.Costmodel.prr_mem repr.Costmodel.prr_mem
-        && r'.Costmodel.prr_warps = repr.Costmodel.prr_warps
-        && Int64.bits_of_float r'.Costmodel.prr_warp_waves
-           = Int64.bits_of_float repr.Costmodel.prr_warp_waves)
-
 let prop_rw_roundtrip =
   QCheck2.Test.make ~name:"store: rw codec round-trip" ~count:200
     QCheck2.Gen.(
@@ -282,11 +261,10 @@ let sample_artifacts () =
   in
   let fp = Bm_analysis.Fingerprint.to_string (Bm_analysis.Fingerprint.of_kernel k) in
   let fps = Footprint.analyze k fl in
-  let profile = Costmodel.profile (Symeval.analyze k) fl in
-  (k, fl, fp, fps, profile)
+  (k, fl, fp, fps)
 
 let test_keyed_staleness () =
-  let _, fl, fp, _, _ = sample_artifacts () in
+  let _, fl, fp, _ = sample_artifacts () in
   let fl' = { fl with Footprint.grid = T.dim3 8 } in
   let fl_block = { fl with Footprint.block = T.dim3 128 } in
   let fl_args = { fl with Footprint.args = [ ("n", 2048) ] } in
@@ -298,7 +276,7 @@ let test_keyed_staleness () =
   distinct "block" kf (Store.footprint_key ~fp ~fl:fl_block);
   distinct "args" kf (Store.footprint_key ~fp ~fl:fl_args);
   distinct "fingerprint" kf (Store.footprint_key ~fp:(fp ^ "x") ~fl);
-  distinct "family" kf (Store.profile_key ~fp ~fl);
+  distinct "family" kf (Store.rw_key ~fp ~fl ~buffers:[]);
   let krw = Store.rw_key ~fp ~fl ~buffers:[ (0, 64, 4096) ] in
   distinct "buffer layout" krw (Store.rw_key ~fp ~fl ~buffers:[ (0, 64, 8192) ]);
   let kp = Store.pair_key ~pfp:fp ~pfl:fl ~cfp:fp ~cfl:fl' ~max_degree:64 in
@@ -308,7 +286,7 @@ let test_keyed_staleness () =
       let s = open_store dir in
       let key = Store.footprint_key ~fp ~fl in
       let key' = Store.footprint_key ~fp ~fl:fl' in
-      let _, _, _, fps, _ = sample_artifacts () in
+      let _, _, _, fps = sample_artifacts () in
       Store.put_footprints s ~key fps;
       Alcotest.(check bool) "hit under its own key" true (Store.find_footprints s ~key <> None);
       Alcotest.(check bool) "other launch misses" true (Store.find_footprints s ~key:key' = None);
@@ -324,7 +302,7 @@ let test_keyed_staleness () =
 (* --- corruption: always a miss, never an exception, always recoverable -- *)
 
 let test_corruption_demoted () =
-  let _, fl, fp, fps, _ = sample_artifacts () in
+  let _, fl, fp, fps = sample_artifacts () in
   with_temp_dir (fun dir ->
       let s = open_store dir in
       let key = Store.footprint_key ~fp ~fl in
@@ -378,7 +356,7 @@ let test_corruption_demoted () =
       Alcotest.(check bool) "intern republished" true (Store.find_footprints s4 ~key <> None))
 
 let test_readonly_and_write_errors () =
-  let _, fl, fp, fps, _ = sample_artifacts () in
+  let _, fl, fp, fps = sample_artifacts () in
   with_temp_dir (fun dir ->
       let ro = open_store ~read_only:true dir in
       let key = Store.footprint_key ~fp ~fl in
@@ -406,25 +384,25 @@ let test_readonly_and_write_errors () =
 (* --- typed entries round-trip through a real store ---------------------- *)
 
 let test_put_find_roundtrip () =
-  let _, fl, fp, fps, profile = sample_artifacts () in
+  let _, fl, fp, fps = sample_artifacts () in
   with_temp_dir (fun dir ->
       let s = open_store dir in
       let kf = Store.footprint_key ~fp ~fl in
       Store.put_footprints s ~key:kf fps;
       Alcotest.(check bool) "footprints round-trip" true (Store.find_footprints s ~key:kf = Some fps);
-      let kp = Store.profile_key ~fp ~fl in
-      Store.put_profile s ~key:kp profile;
-      (match Store.find_profile s ~key:kp with
-      | None -> Alcotest.fail "profile miss"
-      | Some p ->
-        Alcotest.(check bool) "profile bits round-trip" true
-          (let a = Costmodel.repr_of_profile p and b = Costmodel.repr_of_profile profile in
-           float_arrays_bit_equal a.Costmodel.prr_insts b.Costmodel.prr_insts
-           && float_arrays_bit_equal a.Costmodel.prr_mem b.Costmodel.prr_mem));
       let krw = Store.rw_key ~fp ~fl ~buffers:[ (0, 64, 4096); (1, 8192, 4096) ] in
       let rw = { Reorder.reads = [ 0; 1 ]; writes = [ 1 ] } in
       Store.put_rw s ~key:krw rw;
       Alcotest.(check bool) "rw round-trip" true (Store.find_rw s ~key:krw = Some rw);
+      (* Entries stay the JSON object every earlier version wrote and read:
+         re-rendering the parsed file reproduces it byte for byte. *)
+      let data = In_channel.with_open_bin (Store.path s ~family:"rw" ~key:krw) In_channel.input_all in
+      (match Json.of_string data with
+      | Ok (Json.Obj fields as j) ->
+        Alcotest.(check (list string)) "envelope fields"
+          [ "schema"; "version"; "family"; "hdr"; "fps"; "value" ] (List.map fst fields);
+        Alcotest.(check string) "canonical rendering" (Json.to_string j) data
+      | Ok _ | Error _ -> Alcotest.fail "an entry is not a JSON object");
       let krel = Store.pair_key ~pfp:fp ~pfl:fl ~cfp:fp ~cfl:fl ~max_degree:64 in
       let rel =
         Bipartite.Graph
@@ -502,7 +480,6 @@ let test_bmctl_prewarm_exit_codes () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_footprints_roundtrip;
-    QCheck_alcotest.to_alcotest prop_profile_roundtrip;
     QCheck_alcotest.to_alcotest prop_rw_roundtrip;
     QCheck_alcotest.to_alcotest prop_relation_roundtrip;
     QCheck_alcotest.to_alcotest prop_packed_ints_roundtrip;
