@@ -512,11 +512,18 @@ let run_deadlines () =
    preparation from a populated Store (cold in-memory caches) must be
    cycle-exact and beat cold preparation by the committed factor.  (5) A
    cold Prep.prepare of GAUSSIAN must stay under a committed minor-heap
-   ceiling, so per-TB work cannot creep back into launch-time analysis. *)
+   ceiling, so per-TB work cannot creep back into launch-time analysis.
+   (6) GAUSSIAN's graph round trip — fingerprint, encode, decode — must
+   stay under a committed minor-heap ceiling, so per-launch kernel
+   canonicalization and per-element codec work cannot come back. *)
 let sim_minor_words_budget = 1_000_000.0
 
 (* Measured 11,855,632 words (11,809,140 in release builds), plus 10%. *)
 let prep_minor_words_budget = 13_040_000.0
+
+(* Measured 3,046,394 words (16.4M before graphs moved to the packed
+   codec and the fingerprint to a kernel table), plus 10%. *)
+let graph_minor_words_budget = 3_351_000.0
 
 (* The committed speedup of disk-warm preparation over cold: with every
    artifact served from the Store, the whole-suite prepare must run at
@@ -567,6 +574,19 @@ let run_perf_gate () =
   let words = Gc.minor_words () -. w0 in
   check "cold prep minor-heap budget" (words <= prep_minor_words_budget)
     (Printf.sprintf "%.0f words, budget %.0f" words prep_minor_words_budget);
+  let gaussian_graph = Graph.capture cfg gaussian in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Graph.fingerprint cfg gaussian));
+  let decoded =
+    match Json.of_string (Json.to_string (Graph.to_json gaussian_graph)) with
+    | Ok j -> Result.to_option (Graph.of_json j)
+    | Error _ -> None
+  in
+  let words = Gc.minor_words () -. w0 in
+  let exact = match decoded with Some g -> Graph.equal g gaussian_graph | None -> false in
+  check "graph round-trip minor-heap budget" (exact && words <= graph_minor_words_budget)
+    (Printf.sprintf "%.0f words, budget %.0f%s" words graph_minor_words_budget
+       (if exact then "" else ", DECODE MISMATCH"));
   ignore (Sys.opaque_identity (Sim.run cfg Mode.Producer_priority prep));
   let w0 = Gc.minor_words () in
   ignore (Sys.opaque_identity (Sim.run cfg Mode.Producer_priority prep));
@@ -779,15 +799,14 @@ let () =
   parse (List.tl args);
   (match !json_out with
   | Some file ->
-    Benchrun.write ?cache_dir:!cache_dir file;
-    exit 0
+    exit (Benchrun.write ?cache_dir:!cache_dir file)
   | None -> ());
   (match !compare_file with
   | Some old_file ->
     exit (Benchrun.compare_against ?cache_dir:!cache_dir ~threshold_pct:!threshold old_file)
   | None -> ());
   if !perf_gate then begin
-    print_endline "== performance gate (warm prep, prep and sim allocation, replay, disk-warm) ==";
+    print_endline "== performance gate (warm prep, prep, graph round-trip and sim allocation, replay, disk-warm) ==";
     run_perf_gate ();
     exit 0
   end;

@@ -63,7 +63,9 @@ let exit_rta_violation = 7
    documents the full exit-code table in its man page. *)
 let exits =
   Cmd.Exit.info exit_io_error
-    ~doc:"on an I/O error (cannot read or write a requested file, corrupt graph)."
+    ~doc:
+      "on an I/O error (cannot read or write a requested file, corrupt graph or graph of an \
+       older schema version — recapture it)."
   :: Cmd.Exit.info exit_counterexample
        ~doc:
          "on a differential counterexample (fuzz, replay $(b,--compare), corun $(b,--check), \
@@ -767,7 +769,8 @@ let replay_cmd =
         let file = match graph_file with Some f -> f | None -> default_graph_file name in
         match Graph.load file with
         | Error err ->
-          Format.eprintf "bmctl: %s: %a@." file Graph.pp_error err;
+          Format.eprintf "bmctl: %s: %a@.recapture it with: bmctl capture %s -o %s@." file
+            Graph.pp_error err name file;
           exit exit_io_error
         | Ok graph -> (
           match Graph.validate cfg app graph with

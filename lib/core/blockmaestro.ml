@@ -24,8 +24,9 @@
     - {!Cdp}, {!Wireframe}: comparison models
     - {!Refsched}, {!Refmulti}, {!Diff}, {!Soundness}, {!Shrink}, {!Fuzz}:
       differential oracle and shrinking fuzzer
-    - {!Metrics}, {!Prof}, {!Json}, {!Benchfile}: performance counters,
-      span profiling and machine-readable bench trajectories
+    - {!Metrics}, {!Prof}, {!Json}, {!Benchfile}, {!Atomic_file}:
+      performance counters, span profiling, machine-readable bench
+      trajectories and crash-safe file publication
     - {!Parallel}, {!Benchrun}: domain-pool fan-out for experiment sweeps
       and the parallel bench-trajectory collector
     - {!Report}, {!Timeline}, {!Trace}: result formatting and event traces
@@ -105,6 +106,7 @@ module Metrics = Bm_metrics.Metrics
 module Prof = Bm_metrics.Prof
 module Json = Bm_metrics.Json
 module Benchfile = Bm_metrics.Benchfile
+module Atomic_file = Bm_metrics.Atomic_file
 
 module Parallel = Bm_parallel
 module Benchrun = Bm_harness.Benchrun

@@ -110,13 +110,18 @@ let collect ?apps ?jobs ?cache_dir () =
 
 let write ?jobs ?cache_dir file =
   let bf = collect ?jobs ?cache_dir () in
-  Benchfile.save file bf;
-  Printf.printf "wrote %s: %d apps x %d modes (schema v%d)\n" file
-    (List.length bf.Benchfile.bf_apps)
-    (match bf.Benchfile.bf_apps with
-    | a :: _ -> List.length a.Benchfile.ar_modes
-    | [] -> 0)
-    Benchfile.schema_version
+  match Benchfile.save file bf with
+  | Error msg ->
+    Printf.eprintf "cannot write %s: %s\n" file msg;
+    2
+  | Ok () ->
+    Printf.printf "wrote %s: %d apps x %d modes (schema v%d)\n" file
+      (List.length bf.Benchfile.bf_apps)
+      (match bf.Benchfile.bf_apps with
+      | a :: _ -> List.length a.Benchfile.ar_modes
+      | [] -> 0)
+      Benchfile.schema_version;
+    0
 
 (* Returns the process exit code: 0 in-threshold, 1 regression, 2 I/O or
    parse failure on the old file. *)

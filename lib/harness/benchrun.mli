@@ -24,8 +24,10 @@ val collect :
     app task opens its own {!Bm_maestro.Store} handle on the shared
     directory, which only changes preparation wall-clock, never cycles. *)
 
-val write : ?jobs:int -> ?cache_dir:string -> string -> unit
-(** [collect] and save, printing a one-line summary to stdout. *)
+val write : ?jobs:int -> ?cache_dir:string -> string -> int
+(** [collect] and save, printing a one-line summary to stdout.  Returns the
+    process exit code: 0 written, 2 when the file cannot be written (the
+    message goes to stderr; a previous file is left intact). *)
 
 val compare_against : ?jobs:int -> ?cache_dir:string -> threshold_pct:float -> string -> int
 (** Re-measure and diff simulated cycles against a saved file.  Returns the

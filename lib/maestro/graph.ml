@@ -71,8 +71,34 @@ let dim3_canonical (d : Bm_ptx.Types.dim3) =
 
 (* Kernel bodies enter through their structural fingerprint plus the
    declared name (the name itself never changes scheduling, but a captured
-   graph reports it, so a rename must invalidate the capture too). *)
+   graph reports it, so a rename must invalidate the capture too).  An app
+   relaunches a few kernels hundreds of times, so each launch line names
+   its body by first-occurrence index into a kernel table appended once,
+   each text length-prefixed ([#i:len:text]) so the whole form stays
+   injective.  Bodies are canonicalized once per physical kernel value and
+   deduplicated by canonical text: alpha-equivalent twins share an entry. *)
 let app_canonical buf (app : Command.app) =
+  let by_kernel : (string, (Bm_ptx.Types.kernel * int) list) Hashtbl.t = Hashtbl.create 16 in
+  let by_text : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let table = ref [] in
+  let kernel_index (k : Bm_ptx.Types.kernel) =
+    let seen = Option.value (Hashtbl.find_opt by_kernel k.Bm_ptx.Types.kname) ~default:[] in
+    match List.assq_opt k seen with
+    | Some i -> i
+    | None ->
+      let text = Fingerprint.to_string (Fingerprint.of_kernel k) in
+      let i =
+        match Hashtbl.find_opt by_text text with
+        | Some i -> i
+        | None ->
+          let i = Hashtbl.length by_text in
+          Hashtbl.add by_text text i;
+          table := text :: !table;
+          i
+      in
+      Hashtbl.replace by_kernel k.Bm_ptx.Types.kname ((k, i) :: seen);
+      i
+  in
   Buffer.add_string buf app.Command.app_name;
   Buffer.add_char buf '\n';
   List.iter
@@ -94,10 +120,12 @@ let app_canonical buf (app : Command.app) =
               | Command.Buf b -> Printf.sprintf "%s=B%s;" name (buffer_canonical b)
               | Command.Int i -> Printf.sprintf "%s=I%d;" name i))
           spec.Command.args;
-        Buffer.add_string buf (Fingerprint.to_string (Fingerprint.of_kernel spec.Command.kernel));
-        Buffer.add_char buf ']');
+        Buffer.add_string buf (Printf.sprintf "k%d]" (kernel_index spec.Command.kernel)));
       Buffer.add_char buf '\n')
-    app.Command.commands
+    app.Command.commands;
+  List.iteri
+    (fun i text -> Buffer.add_string buf (Printf.sprintf "#%d:%d:%s" i (String.length text) text))
+    (List.rev !table)
 
 let fingerprint cfg app =
   let buf = Buffer.create 4096 in
@@ -143,9 +171,7 @@ let schedule_of_prep (prep : Prep.t) =
   in
   { s_commands = commands; s_nodes = nodes }
 
-let capture ?cache ?prof cfg app =
-  let plain = Prep.prepare ~reorder:false ?prof ?cache cfg app in
-  let reordered = Prep.prepare ~reorder:true ?prof ?cache cfg app in
+let lower cfg app ~plain ~reordered =
   {
     g_app = app.Command.app_name;
     g_cfg_digest = cfg_digest cfg;
@@ -153,6 +179,10 @@ let capture ?cache ?prof cfg app =
     g_plain = schedule_of_prep plain;
     g_reordered = schedule_of_prep reordered;
   }
+
+let capture ?cache ?prof cfg app =
+  let plain, reordered = Prep.prepare_both ?prof ?cache cfg app in
+  lower cfg app ~plain ~reordered
 
 let validate cfg app t =
   let expected = fingerprint cfg app in
@@ -203,8 +233,8 @@ let equal a b =
 
 (* --- JSON codec --------------------------------------------------------- *)
 
-(* The float/array/relation encodings are shared with the disk-backed
-   analysis store: see Jsonc. *)
+(* The packed float/int/relation encodings are shared with the
+   disk-backed analysis store: see Jsonc. *)
 open Jsonc
 
 let json_of_node (nodes : node array) n =
@@ -216,10 +246,10 @@ let json_of_node (nodes : node array) n =
       ("prev", Json.Num (float_of_int n.n_prev));
       ("stream", Json.Num (float_of_int n.n_stream));
       ("tbs", Json.Num (float_of_int n.n_tbs));
-      ("us", Json.Arr (Array.to_list (Array.map json_of_float n.n_tb_us)));
+      ("us", json_of_packed_floats_rle n.n_tb_us);
       ("mem", json_of_float n.n_mem_requests);
-      ("deps", json_of_int_array n.n_copy_deps);
-      ("rel", json_of_relation ~n_parents ~n_children:n.n_tbs n.n_relation);
+      ("deps", json_of_packed_ints_rle n.n_copy_deps);
+      ("rel", json_of_relation_packed ~n_parents ~n_children:n.n_tbs n.n_relation);
     ]
 
 let node_of_json j =
@@ -230,12 +260,10 @@ let node_of_json j =
     n_prev = int_field ~what "prev" j;
     n_stream = int_field ~what "stream" j;
     n_tbs = int_field ~what "tbs" j;
-    n_tb_us =
-      Array.of_list
-        (List.map (float_of_json ~what:"node.us") (list_of_json ~what (field ~what "us" j)));
+    n_tb_us = packed_floats_rle_of_json ~what:"node.us" (field ~what "us" j);
     n_mem_requests = float_of_json ~what:"node.mem" (field ~what "mem" j);
-    n_copy_deps = int_array_of_json ~what:"node.deps" (field ~what "deps" j);
-    n_relation = relation_of_json (field ~what "rel" j);
+    n_copy_deps = packed_ints_rle_of_json ~what:"node.deps" (field ~what "deps" j);
+    n_relation = relation_of_packed_json (field ~what "rel" j);
   }
 
 let json_of_cmd = function
@@ -307,7 +335,7 @@ let schedule_of_json ~what j =
     }
 
 let schema = "bm-graph"
-let schema_version = 1
+let schema_version = 2
 
 let to_json t =
   Json.Obj
@@ -345,15 +373,7 @@ let of_json j =
   | t -> Ok t
   | exception Bad msg -> Error (Corrupt msg)
 
-let save file t =
-  match
-    let oc = open_out file in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (Json.to_string (to_json t)))
-  with
-  | () -> Ok ()
-  | exception Sys_error msg -> Error msg
+let save file t = Bm_metrics.Atomic_file.write file (Json.to_string (to_json t))
 
 let load file =
   match

@@ -2,8 +2,9 @@
     persistent compiled dependency graph.
 
     PR 5's {!Cache} memoizes the launch-time {e analysis}; this module
-    memoizes the entire {e schedule}.  {!capture} runs {!Prep.prepare} once
-    per reorder class and lowers the results into a self-contained graph:
+    memoizes the entire {e schedule}.  {!capture} runs one analysis pass
+    ({!Prep.prepare_both}), lowers the app in both reorder classes and
+    turns the results into a self-contained graph:
     nodes are kernel launches carrying their resolved TB-level dependency
     metadata (the bipartite relation with the stream predecessor, per-TB
     cost arrays with the launch-seq jitter already applied, copy-dependency
@@ -14,18 +15,21 @@
 
     Graphs are fingerprint-keyed: {!fingerprint} digests the machine
     configuration together with the canonical serialization of every
-    command and the structural {!Bm_analysis.Fingerprint} of every kernel,
-    so a graph captured from one (config, app) pair is valid for exactly
-    that pair.  {!validate} rejects a stale graph (mutated kernel, changed
-    launch geometry, different machine) with a distinct {!error}.
+    command and the structural {!Bm_analysis.Fingerprint} of every distinct
+    kernel, so a graph captured from one (config, app) pair is valid for
+    exactly that pair.  {!validate} rejects a stale graph (mutated kernel,
+    changed launch geometry, different machine) with a distinct {!error}.
 
-    Serialization uses the dependency-free {!Bm_metrics.Json} codec.
-    Dependency relations persist in their Table I pattern-aware
-    {!Bm_depgraph.Encode.encoded} form; floats persist as IEEE-754 bit
-    patterns (hex), so a graph written to disk and reloaded is
-    bit-identical — {!equal} holds across any number of round trips, and a
-    reloaded graph replays cycle-exactly (test/test_graph.ml proves both
-    over random apps). *)
+    Serialization (schema version 2) uses the dependency-free
+    {!Bm_metrics.Json} codec with the analysis store's packed payloads
+    ({!Jsonc}): per-TB costs run-length over IEEE-754 bit patterns (hex),
+    copy dependencies pack as delta-coded integers, and dependency
+    relations persist in their Table I pattern-aware
+    {!Bm_depgraph.Encode.encoded} form.  A graph written to disk and
+    reloaded is bit-identical — {!equal} holds across any number of round
+    trips, and a reloaded graph replays cycle-exactly (test/test_graph.ml
+    proves both over random apps).  Files of another schema version load
+    as [Corrupt]: recapture them. *)
 
 (** One host command of the captured stream.  Kernel launches point at
     their node; copies carry the byte count the copy-engine model needs;
@@ -79,14 +83,20 @@ val cfg_digest : Bm_gpu.Config.t -> string
 val fingerprint : Bm_gpu.Config.t -> Bm_gpu.Command.app -> string
 (** Canonical digest of the (config, app) pair: all config fields, the
     command stream (buffers by id/base/bytes, launch geometry, argument
-    lists, stream ids) and each kernel's alpha-renamed structural
-    {!Bm_analysis.Fingerprint}.  Any change that could alter preparation
-    output changes the fingerprint. *)
+    lists, stream ids, kernel names) and each distinct kernel's
+    alpha-renamed structural {!Bm_analysis.Fingerprint}, computed once per
+    physical kernel value and listed once per distinct text.  Any change
+    that could alter preparation output changes the fingerprint. *)
 
 val capture :
   ?cache:Cache.t -> ?prof:Bm_metrics.Prof.t -> Bm_gpu.Config.t -> Bm_gpu.Command.app -> t
-(** Prepare the app in both reorder classes (sharing [cache] exactly like
-    {!Runner.simulate_all}) and lower each {!Prep.t} into a schedule. *)
+(** Prepare the app in both reorder classes from one analysis pass
+    ({!Prep.prepare_both}, so [cache] sees the lookups of one
+    {!Prep.prepare}) and {!lower} the results. *)
+
+val lower : Bm_gpu.Config.t -> Bm_gpu.Command.app -> plain:Prep.t -> reordered:Prep.t -> t
+(** The graph of an app from its two preparations: [plain] with
+    [reorder:false], [reordered] with [reorder:true]. *)
 
 val validate : Bm_gpu.Config.t -> Bm_gpu.Command.app -> t -> (unit, error) result
 (** [Ok] iff the graph's fingerprint matches a fresh {!fingerprint} of the
@@ -102,7 +112,9 @@ val to_json : t -> Bm_metrics.Json.t
 val of_json : Bm_metrics.Json.t -> (t, error) result
 
 val save : string -> t -> (unit, string) result
-(** Write the JSON form to a file; [Error] carries the I/O message. *)
+(** Write the JSON form to a file, atomically
+    ({!Bm_metrics.Atomic_file.write}): on [Error], which carries the I/O
+    message, the previous file is intact. *)
 
 val load : string -> (t, error) result
 (** Read a graph back.  Unreadable files, invalid JSON and schema

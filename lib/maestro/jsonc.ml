@@ -11,13 +11,45 @@ exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
 
-let json_of_float f = Json.Str (Printf.sprintf "%016Lx" (Int64.bits_of_float f))
+(* 16-hex-digit bit patterns, written and read as two native-int halves:
+   no Printf format is interpreted and no Int64 is boxed per element,
+   which dominated bulk float payloads.  The float is passed as an array
+   slot so a call boxes nothing either. *)
+let hex_digits = "0123456789abcdef"
+
+let put_hex16 b off (a : float array) i =
+  let bits = Int64.bits_of_float a.(i) in
+  let hi = Int64.to_int (Int64.shift_right_logical bits 32) in
+  let lo = Int64.to_int bits land 0xffff_ffff in
+  for k = 0 to 7 do
+    Bytes.unsafe_set b (off + 7 - k) hex_digits.[(hi lsr (4 * k)) land 15];
+    Bytes.unsafe_set b (off + 15 - k) hex_digits.[(lo lsr (4 * k)) land 15]
+  done
+
+(* The 8 hex digits of [s] at [pos] (in range) as a native int. *)
+let hex_half ~what s pos =
+  let v = ref 0 in
+  for k = pos to pos + 7 do
+    let d =
+      match String.unsafe_get s k with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | c -> bad "%s: invalid hex digit %C in float bits" what c
+    in
+    v := (!v lsl 4) lor d
+  done;
+  !v
+
+let json_of_float f =
+  let b = Bytes.create 16 in
+  put_hex16 b 0 [| f |] 0;
+  Json.Str (Bytes.unsafe_to_string b)
 
 let float_of_json ~what = function
-  | Json.Str s when String.length s = 16 -> (
-    match Int64.of_string_opt ("0x" ^ s) with
-    | Some bits -> Int64.float_of_bits bits
-    | None -> bad "%s: invalid float bits %S" what s)
+  | Json.Str s when String.length s = 16 ->
+    let hi = hex_half ~what s 0 and lo = hex_half ~what s 8 in
+    Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
   | _ -> bad "%s: expected a 16-hex-digit float" what
 
 let int_of_json ~what j =
@@ -35,93 +67,21 @@ let field ~what name j =
 let int_field ~what name j = int_of_json ~what:(what ^ "." ^ name) (field ~what name j)
 let str_field ~what name j = str_of_json ~what:(what ^ "." ^ name) (field ~what name j)
 
-let int_array_of_json ~what j =
-  Array.of_list (List.map (int_of_json ~what) (list_of_json ~what j))
-
-let json_of_int_array a =
-  Json.Arr (Array.to_list (Array.map (fun i -> Json.Num (float_of_int i)) a))
-
-let float_array_of_json ~what j =
-  Array.of_list (List.map (float_of_json ~what) (list_of_json ~what j))
-
-let json_of_float_array a = Json.Arr (Array.to_list (Array.map json_of_float a))
-
 (* --- packed numeric payloads ------------------------------------------- *)
 
-(* The disk store's bulk arrays (interval triples, per-TB cost vectors,
-   encoded relations) persist as ONE JSON string of packed tokens instead
-   of a JSON array: the generic parser boxes every number through a
-   substring, float_of_string and a list cons, which dominates disk-warm
-   preparation wall-clock, while a packed payload is a single string token
-   the readers below scan in one pass. *)
+(* Bulk arrays (interval triples, per-TB cost vectors, encoded relations,
+   copy-dependency lists) persist as ONE JSON string of packed tokens
+   instead of a JSON array: the generic parser boxes every number through
+   a substring, float_of_string and a list cons, while a packed payload is
+   a single string token the readers below scan in one pass.
 
-let json_of_packed_ints a =
-  let buf = Buffer.create ((4 * Array.length a) + 8) in
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int v))
-    a;
-  Json.Str (Buffer.contents buf)
-
-let packed_ints_of_json ~what j =
-  let s = str_of_json ~what j in
-  let n = String.length s in
-  if n = 0 then [||]
-  else begin
-    let count = ref 1 in
-    String.iter (fun c -> if c = ',' then incr count) s;
-    let out = Array.make !count 0 in
-    let pos = ref 0 in
-    let digit c = c >= '0' && c <= '9' in
-    for i = 0 to !count - 1 do
-      if i > 0 then
-        if !pos < n && s.[!pos] = ',' then incr pos
-        else bad "%s: malformed packed integers" what;
-      let neg = !pos < n && s.[!pos] = '-' in
-      if neg then incr pos;
-      if not (!pos < n && digit s.[!pos]) then bad "%s: malformed packed integer" what;
-      let v = ref 0 in
-      while !pos < n && digit s.[!pos] do
-        v := (!v * 10) + (Char.code s.[!pos] - Char.code '0');
-        incr pos
-      done;
-      out.(i) <- (if neg then - !v else !v)
-    done;
-    if !pos <> n then bad "%s: trailing garbage in packed integers" what;
-    out
-  end
-
-let json_of_packed_floats a =
-  let buf = Buffer.create (16 * Array.length a) in
-  Array.iter (fun f -> Buffer.add_string buf (Printf.sprintf "%016Lx" (Int64.bits_of_float f))) a;
-  Json.Str (Buffer.contents buf)
-
-let packed_floats_of_json ~what j =
-  let s = str_of_json ~what j in
-  let n = String.length s in
-  if n mod 16 <> 0 then bad "%s: packed float payload length %d not a multiple of 16" what n;
-  let nib c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> bad "%s: invalid hex digit %C in packed floats" what c
-  in
-  Array.init (n / 16) (fun i ->
-      let bits = ref 0L in
-      for k = 16 * i to (16 * i) + 15 do
-        bits := Int64.logor (Int64.shift_left !bits 4) (Int64.of_int (nib s.[k]))
-      done;
-      Int64.float_of_bits !bits)
-
-(* Delta + run-length packing: the store's integer payloads are dominated
-   by structured sequences — monotone id lists, affine per-TB address
+   Integers pack delta + run-length: the payloads are dominated by
+   structured sequences — monotone id lists, affine per-TB address
    progressions, step-function parent maps — whose successive differences
    are long runs of one constant.  The token stream covers the DELTA
    sequence (the first delta is from 0): [D] is one delta, [N*D] repeats
    delta D N times.  A structureless sequence degrades to one token per
-   element, no worse than the plain form. *)
+   element. *)
 
 let json_of_packed_ints_rle a =
   let buf = Buffer.create 256 in
@@ -151,9 +111,11 @@ let json_of_packed_ints_rle a =
   Json.Str (Buffer.contents buf)
 
 (* Decoded payloads are capped so a garbled repeat count reads as Bad
-   rather than an allocation blow-up: the store's never-raises contract
-   covers hostile file contents. *)
-let max_packed_elems = 1 lsl 30
+   rather than an allocation blow-up: the never-raises contract of the
+   store and of graph loading covers hostile file contents.  The cap
+   matches the store's thread-block bound; the largest suite payload
+   decodes to 8192 elements. *)
+let max_packed_elems = 1 lsl 24
 
 let packed_ints_rle_of_json ~what j =
   let s = str_of_json ~what j in
@@ -166,12 +128,19 @@ let packed_ints_rle_of_json ~what j =
       let neg = !pos < n && s.[!pos] = '-' in
       if neg then incr pos;
       if not (!pos < n && digit s.[!pos]) then bad "%s: malformed packed integer" what;
+      (* Accumulated negated, so that min_int parses; an overflowing
+         literal is Bad rather than wrapped to an arbitrary value (a
+         garbled repeat count could otherwise pass as 1). *)
       let v = ref 0 in
       while !pos < n && digit s.[!pos] do
-        v := (!v * 10) + (Char.code s.[!pos] - Char.code '0');
+        let d = Char.code s.[!pos] - Char.code '0' in
+        if !v < (min_int + d) / 10 then bad "%s: packed integer out of range" what;
+        v := (!v * 10) - d;
         incr pos
       done;
-      if neg then - !v else !v
+      if neg then !v
+      else if !v = min_int then bad "%s: packed integer out of range" what
+      else - !v
     in
     (* One pass over the token stream into a doubling array (amortized
        O(n)); parsing twice just to pre-size costs more than the copies.
@@ -220,30 +189,29 @@ let packed_ints_rle_of_json ~what j =
   end
 
 (* Float payloads run-length over identical IEEE-754 bit patterns (no
-   deltas — repeated per-TB costs repeat exactly): [HEX] or [N*HEX]. *)
+   deltas — repeated per-TB costs repeat exactly): [HEX] or [N*HEX].  The
+   loops index the array directly so the running value stays unboxed. *)
 let json_of_packed_floats_rle a =
+  let n = Array.length a in
   let buf = Buffer.create 256 in
-  let emit n bits =
-    if Buffer.length buf > 0 then Buffer.add_char buf ',';
-    if n > 1 then begin
-      Buffer.add_string buf (string_of_int n);
+  let hex = Bytes.create 16 in
+  let i = ref 0 in
+  while !i < n do
+    let bits = Int64.bits_of_float a.(!i) in
+    let j = ref (!i + 1) in
+    while !j < n && Int64.equal (Int64.bits_of_float a.(!j)) bits do
+      incr j
+    done;
+    if !i > 0 then Buffer.add_char buf ',';
+    let run = !j - !i in
+    if run > 1 then begin
+      Buffer.add_string buf (string_of_int run);
       Buffer.add_char buf '*'
     end;
-    Buffer.add_string buf (Printf.sprintf "%016Lx" bits)
-  in
-  let run_bits = ref 0L in
-  let run_n = ref 0 in
-  Array.iter
-    (fun f ->
-      let bits = Int64.bits_of_float f in
-      if !run_n > 0 && bits = !run_bits then incr run_n
-      else begin
-        if !run_n > 0 then emit !run_n !run_bits;
-        run_bits := bits;
-        run_n := 1
-      end)
-    a;
-  if !run_n > 0 then emit !run_n !run_bits;
+    put_hex16 hex 0 a !i;
+    Buffer.add_bytes buf hex;
+    i := !j
+  done;
   Json.Str (Buffer.contents buf)
 
 let packed_floats_rle_of_json ~what j =
@@ -253,31 +221,6 @@ let packed_floats_rle_of_json ~what j =
   else begin
     let digit c = c >= '0' && c <= '9' in
     let pos = ref 0 in
-    let parse_count () =
-      let v = ref 0 in
-      if not (!pos < n && digit s.[!pos]) then bad "%s: malformed repeat count" what;
-      while !pos < n && digit s.[!pos] do
-        v := (!v * 10) + (Char.code s.[!pos] - Char.code '0');
-        incr pos
-      done;
-      !v
-    in
-    let nib c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-      | _ -> bad "%s: invalid hex digit %C in packed floats" what c
-    in
-    let parse_hex () =
-      if !pos + 16 > n then bad "%s: truncated float bits" what;
-      let bits = ref 0L in
-      for k = !pos to !pos + 15 do
-        bits := Int64.logor (Int64.shift_left !bits 4) (Int64.of_int (nib s.[k]))
-      done;
-      pos := !pos + 16;
-      !bits
-    in
     (* One pass into a doubling array, as for the integer payloads; a
        token is at least 16 hex digits, sizing the common exact case. *)
     let out = ref (Array.make (max 16 ((n / 16) + 1)) 0.0) in
@@ -303,26 +246,33 @@ let packed_floats_rle_of_json ~what j =
       first := false;
       (* [N*HEX] when a '*' follows a decimal prefix; a bare token is all
          hex, so a leading digit run is only a count if '*' terminates it. *)
-      let star =
-        let i = ref !pos in
-        while !i < n && digit s.[!i] do
-          incr i
-        done;
-        !i < n && s.[!i] = '*'
-      in
+      let stop = ref !pos in
+      while !stop < n && digit s.[!stop] do
+        incr stop
+      done;
       let reps =
-        if star then begin
-          let r = parse_count () in
-          if r < 1 || r > max_packed_elems then bad "%s: bad repeat count" what;
-          incr pos;
-          r
+        if !stop < n && s.[!stop] = '*' then begin
+          (* More digits than the cap has cannot be a valid count (and
+             would overflow the accumulator). *)
+          if !stop = !pos || !stop - !pos > 8 then bad "%s: bad repeat count" what;
+          let r = ref 0 in
+          for k = !pos to !stop - 1 do
+            r := (!r * 10) + (Char.code s.[k] - Char.code '0')
+          done;
+          if !r < 1 || !r > max_packed_elems then bad "%s: bad repeat count" what;
+          pos := !stop + 1;
+          !r
         end
         else 1
       in
-      let bits = parse_hex () in
+      if !pos + 16 > n then bad "%s: truncated float bits" what;
+      let hi = hex_half ~what s !pos and lo = hex_half ~what s (!pos + 8) in
+      let f =
+        Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+      in
+      pos := !pos + 16;
       ensure reps;
       let o = !out in
-      let f = Int64.float_of_bits bits in
       for k = !total to !total + reps - 1 do
         o.(k) <- f
       done;
@@ -333,104 +283,9 @@ let packed_floats_rle_of_json ~what j =
 
 (* Relations persist in their pattern-aware Table I encoded form; decode
    reconstructs the bipartite graph exactly (the Encode round-trip property
-   in test/test_depgraph.ml is what makes this safe). *)
-let json_of_relation ~n_parents ~n_children rel =
-  let ja i = Json.Num (float_of_int i) in
-  match Encode.encode ~n_parents ~n_children rel with
-  | Encode.Enc_independent { n_parents; n_children } ->
-    Json.Obj [ ("k", Json.Str "ind"); ("np", ja n_parents); ("nc", ja n_children) ]
-  | Encode.Enc_full { n_parents; n_children } ->
-    Json.Obj [ ("k", Json.Str "full"); ("np", ja n_parents); ("nc", ja n_children) ]
-  | Encode.Enc_one_to_one { n } -> Json.Obj [ ("k", Json.Str "o2o"); ("n", ja n) ]
-  | Encode.Enc_one_to_n { n_parents; parent_of } ->
-    Json.Obj [ ("k", Json.Str "o2n"); ("np", ja n_parents); ("po", json_of_int_array parent_of) ]
-  | Encode.Enc_n_to_one { n_children; child_of } ->
-    Json.Obj [ ("k", Json.Str "n2o"); ("nc", ja n_children); ("co", json_of_int_array child_of) ]
-  | Encode.Enc_n_group { group_of_parent; group_of_child } ->
-    Json.Obj
-      [
-        ("k", Json.Str "grp");
-        ("gp", json_of_int_array group_of_parent);
-        ("gc", json_of_int_array group_of_child);
-      ]
-  | Encode.Enc_overlapped { n_parents; windows } ->
-    Json.Obj
-      [
-        ("k", Json.Str "ovl");
-        ("np", ja n_parents);
-        ( "w",
-          Json.Arr
-            (Array.to_list
-               (Array.map (fun (f, l) -> Json.Arr [ ja f; ja l ]) windows)) );
-      ]
-  | Encode.Enc_irregular { n_parents; parents_of } ->
-    Json.Obj
-      [
-        ("k", Json.Str "irr");
-        ("np", ja n_parents);
-        ("po", Json.Arr (Array.to_list (Array.map json_of_int_array parents_of)));
-      ]
-
-let relation_of_json j =
-  let what = "relation" in
-  let enc =
-    match str_field ~what "k" j with
-    | "ind" ->
-      Encode.Enc_independent
-        { n_parents = int_field ~what "np" j; n_children = int_field ~what "nc" j }
-    | "full" ->
-      Encode.Enc_full { n_parents = int_field ~what "np" j; n_children = int_field ~what "nc" j }
-    | "o2o" -> Encode.Enc_one_to_one { n = int_field ~what "n" j }
-    | "o2n" ->
-      Encode.Enc_one_to_n
-        {
-          n_parents = int_field ~what "np" j;
-          parent_of = int_array_of_json ~what (field ~what "po" j);
-        }
-    | "n2o" ->
-      Encode.Enc_n_to_one
-        {
-          n_children = int_field ~what "nc" j;
-          child_of = int_array_of_json ~what (field ~what "co" j);
-        }
-    | "grp" ->
-      Encode.Enc_n_group
-        {
-          group_of_parent = int_array_of_json ~what (field ~what "gp" j);
-          group_of_child = int_array_of_json ~what (field ~what "gc" j);
-        }
-    | "ovl" ->
-      Encode.Enc_overlapped
-        {
-          n_parents = int_field ~what "np" j;
-          windows =
-            Array.of_list
-              (List.map
-                 (fun w ->
-                   match list_of_json ~what w with
-                   | [ f; l ] -> (int_of_json ~what f, int_of_json ~what l)
-                   | _ -> bad "%s: window needs [first, len]" what)
-                 (list_of_json ~what (field ~what "w" j)));
-        }
-    | "irr" ->
-      Encode.Enc_irregular
-        {
-          n_parents = int_field ~what "np" j;
-          parents_of =
-            Array.of_list
-              (List.map (int_array_of_json ~what) (list_of_json ~what (field ~what "po" j)));
-        }
-    | k -> bad "%s: unknown kind %S" what k
-  in
-  (* [decode] range-checks node indices with [Invalid_argument]; fold that
-     into [Bad] so corrupt payloads stay inside the never-raises contract. *)
-  try Encode.decode enc with Invalid_argument msg -> bad "%s: %s" what msg
-
-(* The packed twin of the relation codec, used by the disk store: same
-   kinds and fields, but every array payload is a packed-integer string
-   ([windows] flatten to [first, len] pairs, [parents_of] rows are
-   length-prefixed).  Graph keeps the plain form — captured graphs are
-   user-inspectable artifacts; store entries are a cache. *)
+   in test/test_depgraph.ml is what makes this safe).  Every array payload
+   is a packed-integer string ([windows] flatten to [first, len] pairs,
+   [parents_of] rows are length-prefixed). *)
 let json_of_relation_packed ~n_parents ~n_children rel =
   let ja i = Json.Num (float_of_int i) in
   match Encode.encode ~n_parents ~n_children rel with

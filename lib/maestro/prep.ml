@@ -77,7 +77,9 @@ let lkey (spec : Command.launch_spec) =
   let fl = Command.footprint_launch spec in
   { lk_hash = Footprint.launch_hash fl; lk_name = spec.Command.kernel.Bm_ptx.Types.kname; lk_fl = fl }
 
-let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) =
+(* One analysis pass over the app: the per-call memos and the rw-sets of
+   the original command order, shared by every lowering of its body. *)
+let analysis_pass ?prof ?cache (cfg : Config.t) (app : Command.app) =
   (* Two memo layers.  L1 (per call, keyed by kernel name — unique within an
      app): apps reuse kernels across many launches (GAUSSIAN alone has 510
      launches of 2 kernels).  L2 ([?cache], keyed by structural fingerprint,
@@ -222,79 +224,91 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
       Hashtbl.add pair_memo key pr;
       pr
   in
-  (* Reorder (or keep) the command stream. *)
   let original = Array.of_list app.Command.commands in
   let rws = Array.map (fun c -> command_rw c rw_of) original in
-  let final =
-    if reorder then
-      Prof.with_span prof "reorder" (fun () ->
-          Array.of_list (Reorder.reorder (Array.map2 (fun c rw -> (c, rw)) original rws)))
-    else original
-  in
-  let n = Array.length final in
-  (* Walk the final order: build launch infos, H2D gating, D2H gating. *)
-  let launches = ref [] in
-  let kernel_of_cmd = Array.make n (-1) in
-  let d2h_wait = Array.make n None in
-  let last_writer : (int, int) Hashtbl.t = Hashtbl.create 16 in  (* buf id -> kernel seq *)
-  let pending_h2d : (int, int) Hashtbl.t = Hashtbl.create 16 in  (* buf id -> cmd idx *)
-  let seq = ref 0 in
-  (* Per-stream predecessor tracking: dependencies are only enforced (and
-     in-order completion only required) within a stream. *)
-  let stream_prev : (int, int * Command.launch_spec) Hashtbl.t = Hashtbl.create 4 in
-  Array.iteri
-    (fun ci cmd ->
-      match cmd with
-      | Command.Malloc _ | Command.Device_synchronize -> ()
-      | Command.Memcpy_h2d b -> Hashtbl.replace pending_h2d b.Command.buf_id ci
-      | Command.Memcpy_d2h b ->
-        d2h_wait.(ci) <- Hashtbl.find_opt last_writer b.Command.buf_id
-      | Command.Kernel_launch spec ->
-        let result = analyze spec.Command.kernel in
-        let rw = rw_of spec in
-        let prev = Hashtbl.find_opt stream_prev spec.Command.stream in
-        let pr =
-          match prev with
-          | None -> Cache.pair_result ~n_parents:0 ~n_children:0 Bipartite.Independent
-          | Some (_, pspec) -> pair_of pspec spec
-        in
-        let cost =
-          (* The jitter application is never cached: it is keyed on the
-             launch sequence number, which differs between structurally
-             equal launches.  Only the profile underneath is memoized; it
-             is resolved first, so its own span does not nest in this one. *)
-          let profile = profile_of spec in
-          Prof.with_span prof "costmodel" (fun () ->
-              Costmodel.of_profile cfg ~kernel_seq:!seq profile)
-        in
-        let copy_deps =
-          List.filter_map (fun buf_id -> Hashtbl.find_opt pending_h2d buf_id) rw.Reorder.reads
-        in
-        List.iter (fun buf_id -> Hashtbl.replace last_writer buf_id !seq) rw.Reorder.writes;
-        kernel_of_cmd.(ci) <- !seq;
-        launches :=
-          {
-            li_seq = !seq;
-            li_prev = (match prev with Some (p, _) -> Some p | None -> None);
-            li_spec = spec;
-            li_result = result;
-            li_cost = cost;
-            li_tbs = Bm_ptx.Types.dim3_count spec.Command.grid;
-            li_relation = pr.Cache.pr_relation;
-            li_pattern = pr.Cache.pr_pattern;
-            li_sizes = pr.Cache.pr_sizes;
-            li_copy_deps = copy_deps;
-          }
-          :: !launches;
-        Hashtbl.replace stream_prev spec.Command.stream (!seq, spec);
-        incr seq)
-    final;
-  {
-    p_commands = final;
-    p_launches = Array.of_list (List.rev !launches);
-    p_kernel_of_cmd = kernel_of_cmd;
-    p_d2h_wait = d2h_wait;
-  }
+  (* Lower the body in one reorder class.  Reordering keeps the relative
+     order of kernel launches (after Reorder drains the ready non-kernel
+     commands, the earliest pending kernel is always ready), so both
+     classes ask the memos for the same launches and pairs. *)
+  fun ~reorder ->
+    (* Reorder (or keep) the command stream. *)
+    let final =
+      if reorder then
+        Prof.with_span prof "reorder" (fun () ->
+            Array.of_list (Reorder.reorder (Array.map2 (fun c rw -> (c, rw)) original rws)))
+      else original
+    in
+    let n = Array.length final in
+    (* Walk the final order: build launch infos, H2D gating, D2H gating. *)
+    let launches = ref [] in
+    let kernel_of_cmd = Array.make n (-1) in
+    let d2h_wait = Array.make n None in
+    let last_writer : (int, int) Hashtbl.t = Hashtbl.create 16 in  (* buf id -> kernel seq *)
+    let pending_h2d : (int, int) Hashtbl.t = Hashtbl.create 16 in  (* buf id -> cmd idx *)
+    let seq = ref 0 in
+    (* Per-stream predecessor tracking: dependencies are only enforced (and
+       in-order completion only required) within a stream. *)
+    let stream_prev : (int, int * Command.launch_spec) Hashtbl.t = Hashtbl.create 4 in
+    Array.iteri
+      (fun ci cmd ->
+        match cmd with
+        | Command.Malloc _ | Command.Device_synchronize -> ()
+        | Command.Memcpy_h2d b -> Hashtbl.replace pending_h2d b.Command.buf_id ci
+        | Command.Memcpy_d2h b ->
+          d2h_wait.(ci) <- Hashtbl.find_opt last_writer b.Command.buf_id
+        | Command.Kernel_launch spec ->
+          let result = analyze spec.Command.kernel in
+          let rw = rw_of spec in
+          let prev = Hashtbl.find_opt stream_prev spec.Command.stream in
+          let pr =
+            match prev with
+            | None -> Cache.pair_result ~n_parents:0 ~n_children:0 Bipartite.Independent
+            | Some (_, pspec) -> pair_of pspec spec
+          in
+          let cost =
+            (* The jitter application is never cached: it is keyed on the
+               launch sequence number, which differs between structurally
+               equal launches.  Only the profile underneath is memoized; it
+               is resolved first, so its own span does not nest in this one. *)
+            let profile = profile_of spec in
+            Prof.with_span prof "costmodel" (fun () ->
+                Costmodel.of_profile cfg ~kernel_seq:!seq profile)
+          in
+          let copy_deps =
+            List.filter_map (fun buf_id -> Hashtbl.find_opt pending_h2d buf_id) rw.Reorder.reads
+          in
+          List.iter (fun buf_id -> Hashtbl.replace last_writer buf_id !seq) rw.Reorder.writes;
+          kernel_of_cmd.(ci) <- !seq;
+          launches :=
+            {
+              li_seq = !seq;
+              li_prev = (match prev with Some (p, _) -> Some p | None -> None);
+              li_spec = spec;
+              li_result = result;
+              li_cost = cost;
+              li_tbs = Bm_ptx.Types.dim3_count spec.Command.grid;
+              li_relation = pr.Cache.pr_relation;
+              li_pattern = pr.Cache.pr_pattern;
+              li_sizes = pr.Cache.pr_sizes;
+              li_copy_deps = copy_deps;
+            }
+            :: !launches;
+          Hashtbl.replace stream_prev spec.Command.stream (!seq, spec);
+          incr seq)
+      final;
+    {
+      p_commands = final;
+      p_launches = Array.of_list (List.rev !launches);
+      p_kernel_of_cmd = kernel_of_cmd;
+      p_d2h_wait = d2h_wait;
+    }
+
+let prepare ?(reorder = true) ?prof ?cache cfg app = analysis_pass ?prof ?cache cfg app ~reorder
+
+let prepare_both ?prof ?cache cfg app =
+  let lower = analysis_pass ?prof ?cache cfg app in
+  let plain = lower ~reorder:false in
+  (plain, lower ~reorder:true)
 
 let with_relation t ~seq relation =
   let launches =

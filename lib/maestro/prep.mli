@@ -58,6 +58,14 @@ val prepare :
     cycle-identical with and without it.  The cache is single-domain
     state — pass one cache per worker domain, never a shared one. *)
 
+val prepare_both :
+  ?prof:Bm_metrics.Prof.t -> ?cache:Cache.t -> Bm_gpu.Config.t -> Bm_gpu.Command.app -> t * t
+(** [(plain, reordered)]: the app in both reorder classes from one analysis
+    pass — each kernel, footprint, cost profile, rw-set and pair is resolved
+    once, then the body is lowered once per class.  Each result equals the
+    matching {!prepare}, and [cache] sees exactly the lookups of one
+    {!prepare} call. *)
+
 val with_relation : t -> seq:int -> Bm_depgraph.Bipartite.relation -> t
 (** Replace the dependency relation of launch [seq] (with its predecessor).
     Used by the interconnectivity microbenchmark (Fig. 12), which

@@ -460,22 +460,15 @@ let read_file file =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     result
 
-(* Atomic publication: unique temp file + rename.  Returns the byte count
-   written, or None on any failure. *)
+(* Atomic publication (Atomic_file); the family subdirectory is recreated
+   if something removed it.  Returns the byte count written, or None on
+   any failure. *)
 let write_file file data =
-  match
-    let parent = Filename.dirname file in
-    if not (Sys.file_exists parent) then mkdir_p parent;
-    let tmp, oc = Filename.open_temp_file ~temp_dir:parent ~mode:[ Open_binary ] "put" ".tmp" in
-    (match Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc data) with
-    | () -> ()
-    | exception e ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e);
-    Sys.rename tmp file
-  with
-  | () -> Some (String.length data)
-  | exception Sys_error _ -> None
+  let parent = Filename.dirname file in
+  if not (Sys.file_exists parent) then mkdir_p parent;
+  match Bm_metrics.Atomic_file.write file data with
+  | Ok () -> Some (String.length data)
+  | Error _ -> None
 
 (* Check one interned fingerprint text against the lookup key's own copy.
    Success memoizes the caller's (physically interned) string, so the next

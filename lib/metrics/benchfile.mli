@@ -41,7 +41,9 @@ val to_string : t -> string
 val of_json : Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 
-val save : string -> t -> unit
+val save : string -> t -> (unit, string) result
+(** Atomic ({!Atomic_file.write}): on [Error] the previous file is intact. *)
+
 val load : string -> (t, string) result
 (** [Error] covers unreadable files, malformed JSON and schema mismatch. *)
 

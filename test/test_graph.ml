@@ -27,6 +27,8 @@ module Fuzz = Bm_oracle.Fuzz
 module Trace = Bm_report.Trace
 module Metrics = Bm_metrics.Metrics
 module Json = Bm_metrics.Json
+module Command = Bm_gpu.Command
+module Types = Bm_ptx.Types
 
 let cfg = Config.titan_x_pascal
 
@@ -155,6 +157,117 @@ let test_validate_stale () =
   expect_stale "cost model" (Graph.validate { cfg with Config.cpi = cfg.Config.cpi +. 0.25 } bicg graph);
   expect_stale "jitter seed" (Graph.validate { cfg with Config.seed = cfg.Config.seed + 1 } bicg graph)
 
+(* The fingerprint canonicalizes each physical kernel value once and
+   shares a table entry between alpha-equivalent bodies; these cases pin
+   down that the memo never lets a changed body hide behind its name. *)
+let map_launches f (app : Command.app) =
+  let i = ref (-1) in
+  {
+    app with
+    Command.commands =
+      List.map
+        (function
+          | Command.Kernel_launch spec ->
+            incr i;
+            Command.Kernel_launch (f !i spec)
+          | c -> c)
+        app.Command.commands;
+  }
+
+let launch_count (app : Command.app) =
+  List.length
+    (List.filter (function Command.Kernel_launch _ -> true | _ -> false) app.Command.commands)
+
+(* A fresh kernel value of the same name whose first immediate operand is
+   one larger. *)
+let bump_first_immediate (k : Types.kernel) =
+  let body = Array.copy k.Types.kbody in
+  let rec bump i =
+    match body.(i) with
+    | Types.I ins when List.exists (function Types.Imm _ -> true | _ -> false) ins.srcs ->
+      let first = ref true in
+      let srcs =
+        List.map
+          (function
+            | Types.Imm v when !first ->
+              first := false;
+              Types.Imm (v + 1)
+            | o -> o)
+          ins.srcs
+      in
+      body.(i) <- Types.I { ins with srcs }
+    | Types.I _ | Types.Label _ -> bump (i + 1)
+  in
+  bump 0;
+  { k with Types.kbody = body }
+
+(* A physically distinct, alpha-equivalent copy: every register renamed. *)
+let alpha_rename (k : Types.kernel) =
+  let reg r = "%alpha_" ^ String.sub r 1 (String.length r - 1) in
+  let operand = function Types.Reg r -> Types.Reg (reg r) | o -> o in
+  {
+    k with
+    Types.kbody =
+      Array.map
+        (function
+          | Types.Label l -> Types.Label l
+          | Types.I ins ->
+            Types.I
+              {
+                ins with
+                dst = Option.map operand ins.dst;
+                srcs = List.map operand ins.srcs;
+                guard = Option.map (fun (neg, p) -> (neg, reg p)) ins.guard;
+              })
+        k.Types.kbody;
+  }
+
+let test_stale_one_launch () =
+  let app = Suite.by_name "GAUSSIAN" () in
+  let graph = Graph.capture cfg app in
+  let n = launch_count app in
+  Alcotest.(check int) "GAUSSIAN launches" 510 n;
+  let mutated =
+    map_launches
+      (fun i spec ->
+        if i = n / 2 then { spec with Command.kernel = bump_first_immediate spec.Command.kernel }
+        else spec)
+      app
+  in
+  expect_stale "one launch of 510 with a changed immediate" (Graph.validate cfg mutated graph)
+
+let test_rebuilt_app_valid () =
+  let graph = Graph.capture cfg (Suite.by_name "GAUSSIAN" ()) in
+  (* every launch gets its own fresh kernel value *)
+  let rebuilt =
+    map_launches
+      (fun _ spec -> { spec with Command.kernel = { spec.Command.kernel with Types.kname = spec.Command.kernel.Types.kname } })
+      (Suite.by_name "GAUSSIAN" ())
+  in
+  match Graph.validate cfg rebuilt graph with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "rebuilt app rejected: %a" Graph.pp_error e
+
+let test_alpha_twins_share_fingerprint () =
+  let app = Suite.by_name "GAUSSIAN" () in
+  let twins = Hashtbl.create 4 in
+  let twin (k : Types.kernel) =
+    match Hashtbl.find_opt twins k.Types.kname with
+    | Some t -> t
+    | None ->
+      let t = alpha_rename k in
+      Alcotest.(check bool) "twin body differs textually" true (t.Types.kbody <> k.Types.kbody);
+      Hashtbl.add twins k.Types.kname t;
+      t
+  in
+  let mixed =
+    map_launches
+      (fun i spec -> if i mod 2 = 1 then { spec with Command.kernel = twin spec.Command.kernel } else spec)
+      app
+  in
+  Alcotest.(check string) "alpha twins fingerprint like one shared kernel" (Graph.fingerprint cfg app)
+    (Graph.fingerprint cfg mixed)
+
 let test_replay_wrong_config_raises () =
   let app = Suite.by_name "BICG" () in
   let graph = Graph.capture cfg app in
@@ -185,7 +298,43 @@ let test_load_corrupt () =
           expect_corrupt (Printf.sprintf "truncated at %d%%" frac) (Graph.load path))
         [ 2; 25; 50; 90; 99 ];
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "this is not json at all {");
-      expect_corrupt "garbled" (Graph.load path))
+      expect_corrupt "garbled" (Graph.load path);
+      (* Well-formed JSON whose packed payloads are garbled: the first
+         plain node's per-TB costs and relation. *)
+      let update key f = function
+        | Json.Obj fields -> Json.Obj (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fields)
+        | j -> j
+      in
+      let first_node f =
+        update "plain" (update "nodes" (function Json.Arr (n :: rest) -> Json.Arr (f n :: rest) | j -> j))
+      in
+      let doc = Graph.to_json graph in
+      let us =
+        match Option.bind (Json.member "plain" doc) (Json.member "nodes") with
+        | Some (Json.Arr (n :: _)) -> ( match Json.member "us" n with Some (Json.Str s) -> s | _ -> "")
+        | _ -> ""
+      in
+      Alcotest.(check bool) "first node has a cost payload" true (String.length us >= 16);
+      let last16 = String.sub us (String.length us - 16) 16 in
+      let garbled what f =
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Json.to_string (first_node f doc)));
+        match Graph.load path with
+        | r -> expect_corrupt what r
+        | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+      in
+      let set_us v = update "us" (fun _ -> Json.Str v) in
+      garbled "us odd length" (set_us (String.sub us 0 (String.length us - 1)));
+      garbled "us non-hex digit" (set_us (String.sub us 0 (String.length us - 1) ^ "g"));
+      garbled "us huge repeat count" (set_us ("99999999999*" ^ last16));
+      garbled "us repeat count past the cap" (set_us ("16777217*" ^ last16));
+      let set_rel v = update "rel" (fun _ -> v) in
+      garbled "rel unknown kind" (set_rel (Json.Obj [ ("k", Json.Str "zzz") ]));
+      garbled "rel non-numeric payload"
+        (set_rel (Json.Obj [ ("k", Json.Str "o2n"); ("np", Json.Num 2.0); ("po", Json.Str "1,x") ]));
+      garbled "rel huge repeat count"
+        (set_rel (Json.Obj [ ("k", Json.Str "o2n"); ("np", Json.Num 2.0); ("po", Json.Str "99999999999*0") ]));
+      garbled "rel parent out of range"
+        (set_rel (Json.Obj [ ("k", Json.Str "o2n"); ("np", Json.Num 2.0); ("po", Json.Str "7") ])))
 
 let test_of_json_wrong_schema () =
   expect_corrupt "empty object" (Graph.of_json (Json.Obj []));
@@ -195,7 +344,14 @@ let test_of_json_wrong_schema () =
   (match Graph.to_json graph with
   | Json.Obj fields ->
       expect_corrupt "future version"
-        (Graph.of_json (Json.Obj (List.map (function "version", _ -> ("version", Json.Num 99.0) | f -> f) fields)))
+        (Graph.of_json (Json.Obj (List.map (function "version", _ -> ("version", Json.Num 99.0) | f -> f) fields)));
+      (match
+         Graph.of_json
+           (Json.Obj (List.map (function "version", _ -> ("version", Json.Num 1.0) | f -> f) fields))
+       with
+      | Error (Graph.Corrupt msg) ->
+        Alcotest.(check string) "version-1 file" "unsupported version 1 (expected 2)" msg
+      | Error (Graph.Stale _) | Ok _ -> Alcotest.fail "version-1 file not reported as Corrupt")
   | _ -> Alcotest.fail "to_json did not produce an object")
 
 (* --- warm replay performs zero preparation --------------------------- *)
@@ -237,6 +393,37 @@ let test_capture_counters () =
     (counter "graph.capture.encoded_bytes");
   Alcotest.(check bool) "suite app has dependency edges" true (sum.Graph.sum_edges > 0)
 
+(* --- one analysis pass per capture ------------------------------------ *)
+
+let capture_matches_two_prepares app =
+  let plain = Prep.prepare ~reorder:false cfg app in
+  let reordered = Prep.prepare ~reorder:true cfg app in
+  Graph.equal (Graph.capture cfg app) (Graph.lower cfg app ~plain ~reordered)
+
+let test_capture_one_pass_suite () =
+  List.iter
+    (fun (name, mk) ->
+      Alcotest.(check bool) (name ^ ": capture = lowering of two prepares") true
+        (capture_matches_two_prepares (mk ())))
+    Suite.all
+
+let prop_capture_one_pass =
+  QCheck2.Test.make ~name:"capture = lowering of two prepares (random apps)" ~count:20
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed -> capture_matches_two_prepares (random_app seed))
+
+let test_capture_cache_lookups () =
+  List.iter
+    (fun (name, mk) ->
+      let app = mk () in
+      let by_capture = Cache.create () in
+      ignore (Graph.capture ~cache:by_capture cfg app : Graph.t);
+      let by_prepare = Cache.create () in
+      ignore (Prep.prepare ~cache:by_prepare cfg app : Prep.t);
+      Alcotest.(check bool) (name ^ ": capture counters = one prepare's") true
+        (Cache.counters by_capture = Cache.counters by_prepare))
+    Suite.all
+
 (* --- fuzz smoke on the replay backend -------------------------------- *)
 
 let test_fuzz_replay_smoke () =
@@ -251,9 +438,15 @@ let test_fuzz_replay_smoke () =
 let bmctl_exe =
   if Sys.file_exists "../bin/bmctl.exe" then "../bin/bmctl.exe" else "_build/default/bin/bmctl.exe"
 
-let bmctl ?stdout args =
+let bmctl ?stdout ?stderr args =
   let stdout = Option.value stdout ~default:"/dev/null" in
-  Sys.command (Filename.quote_command bmctl_exe ~stdout ~stderr:"/dev/null" args)
+  let stderr = Option.value stderr ~default:"/dev/null" in
+  Sys.command (Filename.quote_command bmctl_exe ~stdout ~stderr args)
+
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
 
 let test_bmctl_capture_replay () =
   with_temp_file (fun path ->
@@ -263,11 +456,50 @@ let test_bmctl_capture_replay () =
         (bmctl [ "replay"; "BICG"; "-g"; path; "--compare" ]);
       Alcotest.(check int) "replay of a stale graph exits 5" 5 (bmctl [ "replay"; "MVT"; "-g"; path ]);
       let whole = In_channel.with_open_bin path In_channel.input_all in
+      (* a version-1 file, as an older build wrote it *)
+      (match Json.of_string whole with
+      | Ok (Json.Obj fields) ->
+        let v1 = List.map (function "version", _ -> ("version", Json.Num 1.0) | f -> f) fields in
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Json.to_string (Json.Obj v1)))
+      | Ok _ | Error _ -> Alcotest.fail "captured graph is not a JSON object");
+      with_temp_file (fun err ->
+          Alcotest.(check int) "replay of a version-1 graph exits 2" 2
+            (bmctl ~stderr:err [ "replay"; "BICG"; "-g"; path ]);
+          let msg = In_channel.with_open_bin err In_channel.input_all in
+          Alcotest.(check bool) ("version-1 error hints at recapture: " ^ msg) true
+            (contains ~needle:"recapture" msg));
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (String.sub whole 0 (String.length whole / 2)));
       Alcotest.(check int) "replay of a truncated graph exits 2" 2 (bmctl [ "replay"; "BICG"; "-g"; path ]);
       Alcotest.(check int) "replay of a missing graph exits 2" 2
         (bmctl [ "replay"; "BICG"; "-g"; "/nonexistent-dir/none.json" ]))
+
+(* A save that fails part-way (here: the file-size limit is hit while the
+   graph is written) must leave the previous file intact and no temporary
+   file behind.  The limit is set on the bmctl child process only. *)
+let test_failed_save_keeps_previous () =
+  let dir = Filename.temp_file "bm_graph_save" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "g.json" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "previous");
+      let script =
+        Printf.sprintf "trap '' XFSZ; ulimit -f 1; exec %s capture BICG -o %s"
+          (Filename.quote bmctl_exe) (Filename.quote path)
+      in
+      let rc =
+        Sys.command (Filename.quote_command "sh" ~stdout:"/dev/null" ~stderr:"/dev/null" [ "-c"; script ])
+      in
+      Alcotest.(check int) "capture with an unwritable graph exits 2" 2 rc;
+      Alcotest.(check string) "previous file intact" "previous"
+        (In_channel.with_open_bin path In_channel.input_all);
+      Alcotest.(check (list string)) "no temporary file left" [ "g.json" ]
+        (Array.to_list (Sys.readdir dir)))
 
 (* Help text vs parser: every subcommand the parser accepts must appear in
    the top-level help, and each subcommand's help must document the flags
@@ -278,11 +510,6 @@ let help_of args =
       let rc = bmctl ~stdout:path args in
       Alcotest.(check int) (String.concat " " args ^ " exits 0") 0 rc;
       In_channel.with_open_bin path In_channel.input_all)
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 let test_bmctl_help_consistency () =
   let main_help = help_of [ "--help"; "plain" ] in
@@ -335,12 +562,19 @@ let suite =
     QCheck_alcotest.to_alcotest prop_disk_roundtrip_replay_identical;
     Alcotest.test_case "validate: fresh graph accepted" `Quick test_validate_fresh;
     Alcotest.test_case "validate: stale graph rejected" `Quick test_validate_stale;
+    Alcotest.test_case "validate: one changed launch of 510 is stale" `Quick test_stale_one_launch;
+    Alcotest.test_case "validate: rebuilt app with fresh kernels" `Quick test_rebuilt_app_valid;
+    Alcotest.test_case "fingerprint: alpha twins share an entry" `Quick test_alpha_twins_share_fingerprint;
     Alcotest.test_case "replay: wrong config raises" `Quick test_replay_wrong_config_raises;
     Alcotest.test_case "load: corrupt files" `Quick test_load_corrupt;
     Alcotest.test_case "of_json: wrong schema" `Quick test_of_json_wrong_schema;
     Alcotest.test_case "replay: warm replay does zero prep" `Quick test_warm_replay_zero_prep;
     Alcotest.test_case "capture: exported counters" `Quick test_capture_counters;
+    Alcotest.test_case "capture: one pass = two prepares (suite)" `Slow test_capture_one_pass_suite;
+    QCheck_alcotest.to_alcotest prop_capture_one_pass;
+    Alcotest.test_case "capture: cache lookups of one prepare" `Slow test_capture_cache_lookups;
     Alcotest.test_case "fuzz: replay backend smoke" `Slow test_fuzz_replay_smoke;
     Alcotest.test_case "bmctl: capture/replay exit codes" `Slow test_bmctl_capture_replay;
+    Alcotest.test_case "bmctl: failed save keeps previous file" `Slow test_failed_save_keeps_previous;
     Alcotest.test_case "bmctl: help/parser consistency" `Slow test_bmctl_help_consistency;
   ]

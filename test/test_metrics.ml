@@ -480,6 +480,42 @@ let test_benchfile_load_missing_file () =
   | Ok _ -> Alcotest.fail "loaded a nonexistent file"
   | Error _ -> ()
 
+(* Saving goes through Atomic_file: an unwritable target is an [Error],
+   not a raised [Sys_error], and a failed write leaves the previous file
+   and no temporary file behind. *)
+let test_benchfile_save_errors () =
+  let bf = sample_benchfile () in
+  (match Benchfile.save "/nonexistent-dir/benchfile.json" bf with
+  | Ok () -> Alcotest.fail "saved into a nonexistent directory"
+  | Error _ -> ()
+  | exception e -> Alcotest.failf "save raised %s" (Printexc.to_string e));
+  let dir = Filename.temp_file "bm_benchfile" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let file = Filename.concat dir "BENCH.json" in
+  let blocker = Filename.concat dir "blocker" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove (Filename.concat blocker "x") with Sys_error _ -> ());
+      (try Sys.rmdir blocker with Sys_error _ -> ());
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      (match Benchfile.save file bf with Ok () -> () | Error e -> Alcotest.fail e);
+      (match Benchfile.load file with
+      | Ok bf' -> Alcotest.(check bool) "saved file loads back" true (bf = bf')
+      | Error e -> Alcotest.fail e);
+      (* The rename onto a non-empty directory fails after the data is
+         written: the temporary file must be cleaned up. *)
+      Sys.mkdir blocker 0o755;
+      Out_channel.with_open_bin (Filename.concat blocker "x") (fun oc -> Out_channel.output_string oc "x");
+      (match Benchfile.save blocker bf with
+      | Ok () -> Alcotest.fail "saved over a non-empty directory"
+      | Error _ -> ());
+      Alcotest.(check (list string)) "only the saved file and the blocker remain"
+        [ "BENCH.json"; "blocker" ]
+        (List.sort compare (Array.to_list (Sys.readdir dir))))
+
 (* --- simulator instrumentation ----------------------------------------- *)
 
 let test_sim_metrics_cycle_exact () =
@@ -580,6 +616,7 @@ let suite =
     Alcotest.test_case "benchfile: zero-cycle old record" `Quick test_benchfile_zero_cycle_old;
     Alcotest.test_case "benchfile: missing pairs" `Quick test_benchfile_skips_missing_pairs;
     Alcotest.test_case "benchfile: load errors" `Quick test_benchfile_load_missing_file;
+    Alcotest.test_case "benchfile: atomic save errors" `Quick test_benchfile_save_errors;
     Alcotest.test_case "sim: metrics are cycle-exact" `Quick test_sim_metrics_cycle_exact;
     Alcotest.test_case "sim: expected counters" `Quick test_sim_metrics_counters;
     Alcotest.test_case "sim: fine-grain occupancy" `Quick test_sim_metrics_fine_grain_occupancy;

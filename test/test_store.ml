@@ -89,7 +89,15 @@ let gen_footprints =
       ])
 
 let special_floats =
-  [ 0.0; -0.0; 1.0; -1.5; 3.1415926535; nan; infinity; neg_infinity; 4.9e-324; 1e300 ]
+  [
+    0.0; -0.0; 1.0; -1.5; 3.1415926535; nan; infinity; neg_infinity; 4.9e-324; -4.9e-324; 1e300;
+    max_float; -.max_float; min_float;
+    (* largest subnormal *)
+    Int64.float_of_bits 0x000f_ffff_ffff_ffffL;
+    (* NaN payloads: signalling, negative quiet with payload bits *)
+    Int64.float_of_bits 0x7ff0_0000_0000_0001L;
+    Int64.float_of_bits 0xfff8_0000_0000_0abcL;
+  ]
 
 let gen_float = QCheck2.Gen.(oneof [ oneofl special_floats; float ])
 let gen_float_array = QCheck2.Gen.(array_size (int_range 0 32) gen_float)
@@ -171,7 +179,14 @@ let prop_relation_roundtrip =
       = rel)
 
 let prop_packed_ints_roundtrip =
-  QCheck2.Test.make ~name:"store: packed int RLE round-trip" ~count:400 gen_packed_ints
+  QCheck2.Test.make ~name:"store: packed int RLE round-trip" ~count:400
+    QCheck2.Gen.(
+      oneof
+        [
+          gen_packed_ints;
+          (* the extremes, whose deltas wrap *)
+          pure [| min_int; max_int; 0; max_int; min_int; -1; 1 |];
+        ])
     (fun a -> Jsonc.packed_ints_rle_of_json ~what:"t" (Jsonc.json_of_packed_ints_rle a) = a)
 
 let prop_packed_floats_roundtrip =
@@ -182,6 +197,11 @@ let prop_packed_floats_roundtrip =
           gen_float_array;
           (* runs of one bit pattern *)
           map (fun (v, n) -> Array.make n v) (pair gen_float (int_range 0 300));
+          (* every special value, then runs of specials *)
+          pure (Array.of_list special_floats);
+          map
+            (fun runs -> Array.concat (List.map (fun (v, n) -> Array.make n v) runs))
+            (list_size (int_range 1 8) (pair (oneofl special_floats) (int_range 1 5)));
         ])
     (fun a ->
       float_arrays_bit_equal
@@ -201,12 +221,17 @@ let test_malformed_payloads () =
     (fun s ->
       decodes_bad (Printf.sprintf "ints %S" s) (fun () ->
           Jsonc.packed_ints_rle_of_json ~what:"t" (Json.Str s)))
-    [ "x"; "-"; "5*"; "*3"; "1,,2"; ","; "3*x"; "1,2,"; " 1"; "1 "; "1073741825*1"; "0*5" ];
+    [ "x"; "-"; "5*"; "*3"; "1,,2"; ","; "3*x"; "1,2,"; " 1"; "1 "; "1073741825*1"; "16777217*1"; "0*5";
+      "18446744073709551617*5"; "99999999999999999999" ];
   List.iter
     (fun s ->
       decodes_bad (Printf.sprintf "floats %S" s) (fun () ->
           Jsonc.packed_floats_rle_of_json ~what:"t" (Json.Str s)))
-    [ "12"; "0123456789abcdeg"; "3*"; "0123456789abcdef,"; "0123456789abcdef,zz" ];
+    [
+      "12"; "0123456789abcdeg"; "3*"; "0123456789abcdef,"; "0123456789abcdef,zz";
+      "0*0123456789abcdef"; "16777217*0123456789abcdef"; "99999999999999999999*0123456789abcdef";
+      "0123456789abcdef0";
+    ];
   decodes_bad "ints non-string" (fun () ->
       Jsonc.packed_ints_rle_of_json ~what:"t" (Json.Num 3.0));
   (* Footprint stream structure: bad TB counts, markers, intervals, run
